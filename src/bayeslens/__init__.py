@@ -37,9 +37,9 @@ from .linear_oracle import (
 from .outliers import (
     OutlierDecomposition,
     clout_direction,
-    jacobi_eigendecomposition,
     outlier_matrix,
     scree,
+    symmetric_eigendecomposition,
     truncated_clout,
 )
 from .sample_store import (
@@ -80,7 +80,6 @@ __all__ = [
     "fit",
     "hat_values",
     "influence_report",
-    "jacobi_eigendecomposition",
     "linf",
     "load_predictive",
     "load_samples",
@@ -92,5 +91,6 @@ __all__ = [
     "random_spec",
     "sandwich_identity_check",
     "scree",
+    "symmetric_eigendecomposition",
     "truncated_clout",
 ]

@@ -34,7 +34,6 @@ from .sample_store import (
 )
 
 DEFAULT_SEED = 42
-THREADS_ENV = "BAYES_LENS_THREADS"
 
 
 @dataclass
@@ -57,21 +56,7 @@ class RunConfig:
     kl_symmetrize: bool = False
     threshold: float = 3.0
     strict: bool = False
-    threads: int = 1
     plant: dict = field(default_factory=dict)
-
-
-def _read_threads_env() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DiagnosticsError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise DiagnosticsError(f"{THREADS_ENV} must be a positive integer, got {value}")
-    return value
 
 
 def _fail(exc: Exception) -> int:
@@ -118,6 +103,13 @@ def _write_group_conflict(config: RunConfig, result) -> None:
 
 def cmd_influence(config: RunConfig) -> int:
     samples = load_samples(config.loglik, config.meta)
+    # every input is read and checked before the first artifact is written
+    result = None
+    if config.groups is not None:
+        groups = load_group_map(config.groups)
+        result = influence_mod.cross_conflict(
+            samples, groups, factor_two=config.pv_group_factor
+        )
     report = influence_mod.influence_report(
         samples, conflict_threshold=config.threshold
     )
@@ -125,11 +117,7 @@ def cmd_influence(config: RunConfig) -> int:
     report.write_json(_out_path(config, "influence_report.json"))
     print("wrote influence_report.csv, influence_report.json")
     flagged = report.flagged
-    if config.groups is not None:
-        groups = load_group_map(config.groups)
-        result = influence_mod.cross_conflict(
-            samples, groups, factor_two=config.pv_group_factor
-        )
+    if result is not None:
         _write_group_conflict(config, result)
         print("wrote group_conflict.csv, group_conflict.json")
         flagged = flagged or bool(result.flagged(config.threshold))
@@ -302,7 +290,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         command=args.command,
         out_dir=args.out,
         seed=args.seed,
-        threads=_read_threads_env(),
     )
     for name in ("loglik", "meta", "pred", "groups", "spec"):
         if hasattr(args, name):

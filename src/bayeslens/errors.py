@@ -45,10 +45,6 @@ class DegenerateSample(DiagnosticsError):
     """Too few draws to estimate a variance (fewer than two)."""
 
 
-class OverflowGuard(DiagnosticsError):
-    """Reserved: shifted exponentials overflowed despite max-shift."""
-
-
 class ZeroTrace(DiagnosticsError):
     """All log-likelihood contributions are constant; influence undefined."""
 
@@ -109,7 +105,3 @@ class NonFiniteInput(DiagnosticsError):
 
 class IndexOutOfRange(DiagnosticsError):
     """An observation index is outside the valid range or duplicated."""
-
-
-class BadSeed(DiagnosticsError):
-    """Reserved: non-reproducible generator misuse."""

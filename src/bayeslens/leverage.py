@@ -22,12 +22,10 @@ from .errors import (
     InvalidParameter,
     NoReplicates,
     SingleDraw,
-    UncoveredObsId,
-    UnknownObsId,
     ZeroLeverage,
 )
 from .io_utils import dump_json, format_float, write_csv_rows
-from .sample_store import GroupMap, PredictiveDraws, _first_appearance
+from .sample_store import GroupMap, PredictiveDraws, _first_appearance, group_members
 from .influence import _as_direction
 
 
@@ -370,16 +368,7 @@ def aggregate_hat_values(hat: HatValues, groups: GroupMap) -> HatValues:
     MCSEs combine in quadrature, which ignores cross-observation correlation
     of the pair estimates; treat aggregated errors as approximate.
     """
-    known = set(hat.obs_ids)
-    unknown = sorted(set(groups.assignment) - known)
-    if unknown:
-        raise UnknownObsId(f"group map references unknown observations: {unknown}")
-    uncovered = sorted(known - set(groups.assignment))
-    if uncovered:
-        raise UncoveredObsId(f"group map does not cover observations: {uncovered}")
-    members: dict[str, list[int]] = {}
-    for col, obs in enumerate(hat.obs_ids):
-        members.setdefault(groups.assignment[obs], []).append(col)
+    members = group_members(hat, groups)
     labels = tuple(members)
     values = np.array([hat.values[idx].sum() for idx in members.values()])
     mcse = np.array(

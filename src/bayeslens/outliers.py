@@ -4,13 +4,13 @@ The outlier matrix rescales the log-likelihood covariance by inverse
 root hat-values, ``(sum h / tr V) * V_ij / sqrt(h_i h_j)``, so that its
 diagonal is the per-observation influence/leverage ratio and its principal
 eigenvector is the maximally outlying perturbation direction. The
-eigendecomposition uses cyclic Jacobi rotations: the matrix is dense,
-small to moderate after grouping, and Jacobi is simple to validate.
+eigendecomposition is LAPACK's symmetric solver behind ``numpy.linalg.eigh``,
+followed by a fixed sign and ordering convention so that the eigenvectors
+written to disk do not depend on the solver's arbitrary choices.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,81 +21,26 @@ from .io_utils import dump_json, format_float, write_csv_rows
 from .leverage import HatValues
 
 
-def jacobi_eigendecomposition(
-    matrix: np.ndarray, *, rel_tol: float = 1e-12, max_sweeps: int = 60
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigensystem of a symmetric matrix via cyclic Jacobi rotations.
+def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigensystem of a symmetric matrix via LAPACK (``numpy.linalg.eigh``).
 
-    Sweeps Givens rotations over all (p, q) pairs until the off-diagonal
-    Frobenius norm falls below ``rel_tol`` times the matrix norm. Returns
-    eigenvalues (descending) and the matching orthonormal eigenvector
+    Returns eigenvalues (descending) and the matching orthonormal eigenvector
     columns. Sign convention: each eigenvector's largest-magnitude entry is
     positive; exact eigenvalue ties are ordered by the first differing
     eigenvector entry.
     """
-    work = np.array(matrix, dtype=float)
+    work = np.asarray(matrix, dtype=float)
     if work.ndim != 2 or work.shape[0] != work.shape[1]:
         raise ValueError("matrix must be square")
-    size = work.shape[0]
-    vectors = np.eye(size)
-    norm = float(np.linalg.norm(work))
-
-    off_mask = ~np.eye(size, dtype=bool)
-
-    def off_norm() -> float:
-        # summed directly over off-diagonal entries: subtracting the diagonal
-        # from the total cancels catastrophically near convergence
-        return math.sqrt(float(np.sum(work[off_mask] ** 2)))
-
-    if size > 1 and norm > 0.0:
-        for _ in range(max_sweeps):
-            if off_norm() <= rel_tol * norm:
-                break
-            for p in range(size - 1):
-                for q in range(p + 1, size):
-                    apq = work[p, q]
-                    if apq == 0.0:
-                        continue
-                    theta = (work[q, q] - work[p, p]) / (2.0 * apq)
-                    if abs(theta) > 1e154:  # theta**2 would overflow
-                        tangent = 0.5 / theta
-                    else:
-                        tangent = math.copysign(1.0, theta) / (
-                            abs(theta) + math.sqrt(theta * theta + 1.0)
-                        )
-                    cos = 1.0 / math.sqrt(tangent * tangent + 1.0)
-                    sin = tangent * cos
-                    col_p = work[:, p].copy()
-                    col_q = work[:, q].copy()
-                    work[:, p] = cos * col_p - sin * col_q
-                    work[:, q] = sin * col_p + cos * col_q
-                    row_p = work[p, :].copy()
-                    row_q = work[q, :].copy()
-                    work[p, :] = cos * row_p - sin * row_q
-                    work[q, :] = sin * row_p + cos * row_q
-                    work[p, q] = 0.0
-                    work[q, p] = 0.0
-                    vec_p = vectors[:, p].copy()
-                    vec_q = vectors[:, q].copy()
-                    vectors[:, p] = cos * vec_p - sin * vec_q
-                    vectors[:, q] = sin * vec_p + cos * vec_q
-        else:
-            if off_norm() > rel_tol * norm:
-                raise ArithmeticError(
-                    f"Jacobi sweeps did not converge within {max_sweeps} iterations"
-                )
-    eigenvalues = np.diag(work).copy()
-
+    eigenvalues, vectors = np.linalg.eigh(work)
     # sign convention before ordering so that tie-breaking is deterministic
-    for j in range(size):
-        peak = np.argmax(np.abs(vectors[:, j]))
-        if vectors[peak, j] < 0.0:
-            vectors[:, j] = -vectors[:, j]
-    order = sorted(
-        range(size),
-        key=lambda j: (-eigenvalues[j], tuple(-vectors[:, j])),
-    )
-    return eigenvalues[list(order)], vectors[:, list(order)]
+    columns = np.arange(work.shape[0])
+    peaks = np.argmax(np.abs(vectors), axis=0)
+    vectors = vectors * np.where(vectors[peaks, columns] < 0.0, -1.0, 1.0)
+    # lexsort keys run from least to most significant: the eigenvalue decides,
+    # then the first eigenvector entry, then the second, ...
+    order = np.lexsort(np.vstack([-vectors[::-1], -eigenvalues]))
+    return eigenvalues[order], vectors[:, order]
 
 
 @dataclass(frozen=True)
@@ -160,7 +105,7 @@ def outlier_matrix(cov, hat) -> OutlierDecomposition:
     inv_root = 1.0 / np.sqrt(values)
     omega = scale * matrix * np.outer(inv_root, inv_root)
     omega = (omega + omega.T) / 2.0
-    eigenvalues, eigenvectors = jacobi_eigendecomposition(omega)
+    eigenvalues, eigenvectors = symmetric_eigendecomposition(omega)
     return OutlierDecomposition(
         omega=omega,
         eigenvalues=eigenvalues,

@@ -250,13 +250,14 @@ class GroupMap:
         return cls({str(i): label for i in obs_ids})
 
 
-def group_members(samples: LogLikSamples, groups: GroupMap) -> dict[str, list[int]]:
+def group_members(data, groups: GroupMap) -> dict[str, list[int]]:
     """Column indices per group, groups ordered by first appearance in the data.
 
-    Raises UnknownObsId for map entries that are not in the samples and
-    UncoveredObsId for sample columns the map misses.
+    ``data`` is anything with an ``obs_ids`` sequence (samples, hat-values).
+    Raises UnknownObsId for map entries that are not in the data and
+    UncoveredObsId for columns the map misses.
     """
-    known = set(samples.obs_ids)
+    known = set(data.obs_ids)
     unknown = sorted(set(groups.assignment) - known)
     if unknown:
         raise UnknownObsId(f"group map references unknown observations: {unknown}")
@@ -264,7 +265,7 @@ def group_members(samples: LogLikSamples, groups: GroupMap) -> dict[str, list[in
     if uncovered:
         raise UncoveredObsId(f"group map does not cover observations: {uncovered}")
     members: dict[str, list[int]] = {}
-    for col, obs in enumerate(samples.obs_ids):
+    for col, obs in enumerate(data.obs_ids):
         members.setdefault(groups.assignment[obs], []).append(col)
     return members
 
@@ -486,7 +487,10 @@ def write_predictive_csv(pred: PredictiveDraws, path: str | os.PathLike) -> None
 def load_group_map(path: str | os.PathLike) -> GroupMap:
     """Load a group map from a JSON object of ``{obs_id: group_label}``."""
     with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise UncoveredObsId(f"{path}: invalid group map JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise UncoveredObsId(f"{path}: group map must be a JSON object")
     return GroupMap(raw)

@@ -1,6 +1,9 @@
 """Command-line wiring: exit codes, artifacts, determinism, error JSON."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -110,6 +113,26 @@ class TestInfluenceCommand:
         assert report["flagged_groups"] == ["dup"]
         totals = read_json(out / "influence_report.json")["totals"]
         assert totals["flagged"] is False
+
+    @pytest.mark.parametrize(
+        "group_map, error",
+        [("{bad", "UncoveredObsId"), ('{"a": "g", "zz": "g"}', "UnknownObsId")],
+    )
+    def test_bad_group_map_fails_closed(self, tmp_path, capsys, group_map, error):
+        """A bad group map exits 1 with one JSON error line and writes nothing."""
+        loglik, meta = write_toy(tmp_path)
+        groups = tmp_path / "groups.json"
+        groups.write_text(group_map)
+        out = tmp_path / "out"
+        code = main(
+            ["conflict", "--loglik", str(loglik), "--meta", str(meta),
+             "--groups", str(groups), "--out", str(out)]
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+        assert not out.exists()
 
     def test_pv_group_factor_off(self, tmp_path):
         loglik, meta = write_toy(tmp_path)
@@ -280,23 +303,30 @@ class TestDeterminism:
             diag2 / "influence_report.csv"
         ).read_bytes()
 
-
-@pytest.mark.filterwarnings("ignore:too few draws")
-class TestThreadsEnv:
-    def test_invalid_threads_value(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BAYES_LENS_THREADS", "zero")
-        loglik, meta = write_toy(tmp_path)
-        code = main(
-            ["influence", "--loglik", str(loglik), "--meta", str(meta),
-             "--out", str(tmp_path / "out")]
-        )
-        assert code == 1
-
-    def test_valid_threads_value_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BAYES_LENS_THREADS", "4")
-        loglik, meta = write_toy(tmp_path)
-        code = main(
-            ["influence", "--loglik", str(loglik), "--meta", str(meta),
-             "--out", str(tmp_path / "out")]
-        )
-        assert code == 0
+    def test_bytes_independent_of_blas_thread_count(self, tmp_path):
+        """The demo pipeline writes the same outlier artifacts under 1 and 2
+        OpenBLAS threads (the eigensolver is the BLAS-heavy step)."""
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")])
+            )
+            corpus = tmp_path / threads / "corpus"
+            diag = tmp_path / threads / "diag"
+            for argv in (
+                ["simulate", "--demo", "--draws", "600", "--out", str(corpus)],
+                ["outliers", "--loglik", str(corpus / "loglik.csv"),
+                 "--meta", str(corpus / "metadata.json"),
+                 "--pred", str(corpus / "predictive.csv"), "--out", str(diag)],
+            ):
+                subprocess.run(
+                    [sys.executable, "-m", "bayeslens.cli", *argv],
+                    env=env, check=True, capture_output=True, timeout=120,
+                )
+            outputs.append(diag)
+        for name in ("clout.csv", "scree.csv", "eigen.json"):
+            assert (outputs[0] / name).read_bytes() == (
+                outputs[1] / name
+            ).read_bytes(), name

@@ -1,4 +1,4 @@
-"""Outlier matrix construction, Jacobi eigensystem, CLOUT statistics."""
+"""Outlier matrix construction, symmetric eigensystem, CLOUT statistics."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from bayeslens import (
     CovMatrix,
     Perturbation,
     clout_direction,
-    jacobi_eigendecomposition,
+    symmetric_eigendecomposition,
     outlier_matrix,
     scree,
     truncated_clout,
@@ -28,14 +28,14 @@ def random_symmetric(rng, size, scale=1.0):
     return (root + root.T) / 2.0
 
 
-class TestJacobi:
+class TestSymmetricEigendecomposition:
     def test_matches_lapack_on_random_matrices(self):
         """Eigenvalues and reconstruction agree with numpy.linalg.eigh."""
         rng = np.random.default_rng(40)
         for _ in range(50):
             size = int(rng.integers(2, 13))
             matrix = random_symmetric(rng, size, scale=10.0 ** rng.integers(-2, 3))
-            values, vectors = jacobi_eigendecomposition(matrix)
+            values, vectors = symmetric_eigendecomposition(matrix)
             reference = np.sort(np.linalg.eigvalsh(matrix))[::-1]
             scale = max(np.max(np.abs(reference)), 1e-30)
             np.testing.assert_allclose(values, reference, atol=1e-10 * scale)
@@ -45,36 +45,36 @@ class TestJacobi:
     def test_orthonormal_eigenvectors(self):
         rng = np.random.default_rng(41)
         matrix = random_symmetric(rng, 9)
-        _, vectors = jacobi_eigendecomposition(matrix)
+        _, vectors = symmetric_eigendecomposition(matrix)
         np.testing.assert_allclose(vectors.T @ vectors, np.eye(9), atol=1e-10)
 
     def test_diagonal_matrix(self):
-        values, vectors = jacobi_eigendecomposition(np.diag([3.0, -1.0, 7.0]))
+        values, vectors = symmetric_eigendecomposition(np.diag([3.0, -1.0, 7.0]))
         np.testing.assert_array_equal(values, [7.0, 3.0, -1.0])
         np.testing.assert_array_equal(np.abs(vectors), np.eye(3)[:, [2, 0, 1]])
 
     def test_sign_convention(self):
         """Each eigenvector's largest-magnitude entry is positive."""
         rng = np.random.default_rng(42)
-        _, vectors = jacobi_eigendecomposition(random_symmetric(rng, 6))
+        _, vectors = symmetric_eigendecomposition(random_symmetric(rng, 6))
         for j in range(6):
             peak = np.argmax(np.abs(vectors[:, j]))
             assert vectors[peak, j] > 0
 
     def test_single_entry(self):
-        values, vectors = jacobi_eigendecomposition(np.array([[5.0]]))
+        values, vectors = symmetric_eigendecomposition(np.array([[5.0]]))
         np.testing.assert_array_equal(values, [5.0])
         np.testing.assert_array_equal(vectors, [[1.0]])
 
     def test_zero_matrix(self):
-        values, vectors = jacobi_eigendecomposition(np.zeros((4, 4)))
+        values, vectors = symmetric_eigendecomposition(np.zeros((4, 4)))
         np.testing.assert_array_equal(values, np.zeros(4))
         np.testing.assert_array_equal(vectors, np.eye(4))
 
     def test_deterministic_tie_order(self):
-        values, vectors = jacobi_eigendecomposition(np.eye(3) * 2.0)
+        values, vectors = symmetric_eigendecomposition(np.eye(3) * 2.0)
         np.testing.assert_array_equal(values, [2.0, 2.0, 2.0])
-        again_values, again_vectors = jacobi_eigendecomposition(np.eye(3) * 2.0)
+        again_values, again_vectors = symmetric_eigendecomposition(np.eye(3) * 2.0)
         np.testing.assert_array_equal(vectors, again_vectors)
         np.testing.assert_array_equal(values, again_values)
 
