@@ -42,12 +42,12 @@ class LinearModelSpec:
         outcomes = np.array(self.outcomes, dtype=float).ravel()
         prior = np.array(self.prior_precision, dtype=float)
         if design.ndim != 2:
-            raise ValueError("design must be a 2-d array")
+            raise InvalidParameter("design must be a 2-d array")
         n_obs, n_par = design.shape
         if outcomes.shape != (n_obs,):
-            raise ValueError("outcomes must hold one value per design row")
+            raise InvalidParameter("outcomes must hold one value per design row")
         if prior.shape != (n_par, n_par):
-            raise ValueError("prior precision must be square of the parameter size")
+            raise InvalidParameter("prior precision must be square of the parameter size")
         if not (
             np.all(np.isfinite(design))
             and np.all(np.isfinite(outcomes))
@@ -389,16 +389,24 @@ def random_spec(
 def load_spec_json(path: str | os.PathLike) -> LinearModelSpec:
     """Read a spec from JSON with keys X (row-major), y, sigma2, Psi (row-major)."""
     with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise InvalidParameter(f"{path}: invalid spec JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise InvalidParameter(f"{path}: spec JSON must be an object")
     missing = [key for key in ("X", "y", "sigma2", "Psi") if key not in raw]
     if missing:
         raise InvalidParameter(f"{path}: spec JSON misses keys {missing}")
-    return LinearModelSpec(
-        design=np.array(raw["X"], dtype=float),
-        outcomes=np.array(raw["y"], dtype=float),
-        noise_variance=float(raw["sigma2"]),
-        prior_precision=np.array(raw["Psi"], dtype=float),
-    )
+    try:
+        return LinearModelSpec(
+            design=np.array(raw["X"], dtype=float),
+            outcomes=np.array(raw["y"], dtype=float),
+            noise_variance=float(raw["sigma2"]),
+            prior_precision=np.array(raw["Psi"], dtype=float),
+        )
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"{path}: spec values must be numbers ({exc})") from None
 
 
 def write_spec_json(spec: LinearModelSpec, path: str | os.PathLike) -> None:

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,6 @@ from .errors import (
     UncoveredObsId,
     UnknownObsId,
 )
-from .io_utils import format_float
 
 # Parameter columns per predictive family, in CSV order.
 FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
@@ -49,16 +49,28 @@ def _first_appearance(labels) -> list:
     return list(seen)
 
 
-def _validate_chain(draw_chain: np.ndarray, n_draws: int) -> None:
+def _chain_array(draw_chain, n_draws: int) -> np.ndarray:
+    """Validated chain labels: one non-negative, non-boolean integer per draw."""
     # Single-draw chains are accepted here; operations that need two draws
     # per chain (stream pairing, replicate standard errors) enforce it.
-    if draw_chain.shape != (n_draws,):
+    # Types are checked before the int cast, which truncates 0.5 and True.
+    if isinstance(draw_chain, np.ndarray):
+        integral = draw_chain.dtype.kind in "iu"
+    else:
+        integral = all(
+            isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in draw_chain
+        )
+    if not integral:
+        raise ChainMismatch("chain labels must be non-negative integers")
+    labels = np.array(draw_chain, dtype=int)
+    if labels.shape != (n_draws,):
         raise ChainMismatch(
-            f"chain metadata has {draw_chain.shape[0] if draw_chain.ndim == 1 else '?'} "
+            f"chain metadata has {labels.shape[0] if labels.ndim == 1 else '?'} "
             f"entries but there are {n_draws} draws"
         )
-    if np.any(draw_chain < 0):
+    if np.any(labels < 0):
         raise ChainMismatch("chain labels must be non-negative integers")
+    return labels
 
 
 def _validate_obs_ids(obs_ids) -> tuple[str, ...]:
@@ -80,7 +92,7 @@ class LogLikSamples:
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
         if values.ndim != 2:
-            raise ValueError("values must be a 2-d (draws x observations) array")
+            raise InvalidParameter("values must be a 2-d (draws x observations) array")
         n_draws, n_obs = values.shape
         if n_draws < 2:
             raise DegenerateSample(f"need at least 2 draws, got {n_draws}")
@@ -94,9 +106,8 @@ class LogLikSamples:
             )
         obs_ids = _validate_obs_ids(self.obs_ids)
         if len(obs_ids) != n_obs:
-            raise ValueError(f"got {len(obs_ids)} obs ids for {n_obs} columns")
-        draw_chain = np.array(self.draw_chain, dtype=int)
-        _validate_chain(draw_chain, n_draws)
+            raise MalformedCsv(f"got {len(obs_ids)} obs ids for {n_obs} columns")
+        draw_chain = _chain_array(self.draw_chain, n_draws)
         values.setflags(write=False)
         draw_chain.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -166,9 +177,8 @@ class PredictiveDraws:
             raise NonFiniteValue("predictive parameters contain non-finite values")
         obs_ids = _validate_obs_ids(self.obs_ids)
         if len(obs_ids) != n_obs:
-            raise ValueError(f"got {len(obs_ids)} obs ids for {n_obs} columns")
-        draw_chain = np.array(self.draw_chain, dtype=int)
-        _validate_chain(draw_chain, n_draws)
+            raise MalformedCsv(f"got {len(obs_ids)} obs ids for {n_obs} columns")
+        draw_chain = _chain_array(self.draw_chain, n_draws)
         self._validate_params(params)
         trials = None
         if self.family == "binomial":
@@ -291,7 +301,39 @@ def aggregate(samples: LogLikSamples, groups: GroupMap) -> LogLikSamples:
 # ---------------------------------------------------------------------------
 
 def _read_csv_table(path: str | os.PathLike) -> tuple[list[str], np.ndarray]:
-    """Read a draws CSV: header row of column names, float data rows."""
+    """Read a draws CSV: header row of column names, float data rows.
+
+    The data rows go through numpy's C parser. Its result is kept only when
+    it is one the validating parser would return as well; any other file is
+    read again by ``_read_csv_table_checked``, which is the only source of
+    error messages.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        header = [cell.strip() for cell in next(csv.reader(handle), [])]
+        if header and all(header):
+            try:
+                # loadtxt warns on a file without data rows, which the checked
+                # parser reports as an error. comments=None: a row starting
+                # with '#' is malformed, not a comment.
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    values = np.loadtxt(
+                        handle, delimiter=",", comments=None, ndmin=2, dtype=float
+                    )
+            except ValueError:
+                pass
+            else:
+                if (
+                    values.shape[0] >= 1
+                    and values.shape[1] == len(header)
+                    and np.isfinite(values).all()
+                ):
+                    return header, values
+    return _read_csv_table_checked(path)
+
+
+def _read_csv_table_checked(path: str | os.PathLike) -> tuple[list[str], np.ndarray]:
+    """Parse a draws CSV cell by cell, naming the row, column and cell of an error."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -420,11 +462,8 @@ def load_predictive(
                 f"{pred_file}: observation '{obs}' is missing columns {missing}"
             )
 
-    n_draws = table.shape[0]
-    params = np.empty((n_draws, len(order), len(param_names)))
-    for j, obs in enumerate(order):
-        for k, param in enumerate(param_names):
-            params[:, j, k] = table[:, columns[obs][param]]
+    idx = [columns[obs][param] for obs in order for param in param_names]
+    params = table[:, idx].reshape(table.shape[0], len(order), len(param_names))
 
     trials = None
     if family == "binomial":
@@ -449,10 +488,22 @@ def load_predictive(
 
 def write_loglik_csv(samples: LogLikSamples, path: str | os.PathLike) -> None:
     """Emit draws as decimal CSV with full round-trip precision."""
+    _write_draws_csv(path, samples.obs_ids, samples.values)
+
+
+_WRITE_BLOCK_ROWS = 1024
+
+
+def _write_draws_csv(path: str | os.PathLike, header, table: np.ndarray) -> None:
+    # One format per row over Python floats (``tolist``) writes the bytes of
+    # io_utils.format_float on each cell, in less time than per-cell calls.
+    # Converting a block of rows at a time bounds the Python floats alive.
+    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(samples.obs_ids) + "\n")
-        for row in samples.values:
-            handle.write(",".join(format_float(v) for v in row) + "\n")
+        handle.write(",".join(header) + "\n")
+        for start in range(0, table.shape[0], _WRITE_BLOCK_ROWS):
+            for row in table[start:start + _WRITE_BLOCK_ROWS].tolist():
+                handle.write(row_format % tuple(row))
 
 
 def write_metadata_json(
@@ -477,11 +528,7 @@ def write_metadata_json(
 def write_predictive_csv(pred: PredictiveDraws, path: str | os.PathLike) -> None:
     names = FAMILY_PARAMS[pred.family]
     header = [f"{obs}.{param}" for obs in pred.obs_ids for param in names]
-    flat = pred.params.reshape(pred.n_draws, -1)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in flat:
-            handle.write(",".join(format_float(v) for v in row) + "\n")
+    _write_draws_csv(path, header, pred.params.reshape(pred.n_draws, -1))
 
 
 def load_group_map(path: str | os.PathLike) -> GroupMap:

@@ -134,6 +134,40 @@ class TestInfluenceCommand:
         assert json.loads(lines[0])["error"] == error
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "chains",
+        [["x", "x", "y"], [0.5, 0.5, 1.7], [True, True, False], [0, 0, True]],
+        ids=["strings", "floats", "booleans", "int_and_bool"],
+    )
+    def test_non_integer_chain_labels_fail_closed(self, tmp_path, capsys, chains):
+        loglik, meta = write_toy(tmp_path)
+        meta.write_text(json.dumps({"chains": chains}))
+        out = tmp_path / "out"
+        code = main(
+            ["influence", "--loglik", str(loglik), "--meta", str(meta), "--out", str(out)]
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ChainMismatch"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_csv_one_error_line(self, tmp_path, capsys):
+        """A CSV without data rows exits 1 with one JSON line and no warning."""
+        loglik, meta = write_toy(tmp_path)
+        loglik.write_text("a,b\n")
+        code = main(
+            ["influence", "--loglik", str(loglik), "--meta", str(meta),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "MalformedCsv"
+        assert err["message"].endswith("no data rows")
+
     def test_pv_group_factor_off(self, tmp_path):
         loglik, meta = write_toy(tmp_path)
         groups = tmp_path / "groups.json"
@@ -271,6 +305,26 @@ class TestOracleCommand:
         payload = read_json(out / "linear_diagnostics.json")
         assert payload["p_v"] == pytest.approx(1.0)
         assert payload["p_d"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps({"X": [[1.0], [1.0]], "y": [0.0, 0.0, 3.0],
+                        "sigma2": 1.0, "Psi": [[0.0]]}),
+            '{"X": [[1.0], [1.0]], "y": [0.0,',
+        ],
+        ids=["shape_mismatch", "truncated"],
+    )
+    def test_bad_spec_exit_one(self, tmp_path, capsys, text):
+        """A mis-shaped or truncated spec exits 1 with one JSON error line."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        out = tmp_path / "out"
+        assert main(["oracle", "--spec", str(spec), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InvalidParameter"
+        assert not out.exists()
 
     def test_missing_spec_file(self, tmp_path, capsys):
         code = main(

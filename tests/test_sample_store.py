@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bayeslens import GroupMap, LogLikSamples, PredictiveDraws, aggregate
 from bayeslens.errors import (
     ChainMismatch,
     DegenerateSample,
+    DiagnosticsError,
     DuplicateObsId,
     FamilyMismatch,
     InvalidParameter,
@@ -15,7 +18,10 @@ from bayeslens.errors import (
     UncoveredObsId,
     UnknownObsId,
 )
+from bayeslens.io_utils import format_float
 from bayeslens.sample_store import (
+    _read_csv_table,
+    _read_csv_table_checked,
     check_aligned,
     load_predictive,
     load_samples,
@@ -97,6 +103,85 @@ class TestLoadSamples:
         with pytest.raises(MalformedCsv):
             load_samples(loglik, meta)
 
+    def test_comment_like_row_rejected(self, tmp_path):
+        """A data row starting with '#' is a malformed cell, not a comment."""
+        loglik, meta = write_corpus(tmp_path, "a,b\n#1,2\n3,4\n", [1, 1])
+        with pytest.raises(MalformedCsv, match="data row 1, column 'a': '#1'"):
+            load_samples(loglik, meta)
+
+    def test_quoted_header_cell(self, tmp_path):
+        loglik, meta = write_corpus(tmp_path, '"x,y",b\n1,2\n3,4\n', [1, 1])
+        samples = load_samples(loglik, meta)
+        assert samples.obs_ids == ("x,y", "b")
+        np.testing.assert_array_equal(samples.values, [[1, 2], [3, 4]])
+
+    def test_single_column(self, tmp_path):
+        loglik, meta = write_corpus(tmp_path, "a\n1\n2\n3\n", [0, 0, 1])
+        header, values = _read_csv_table(loglik)
+        assert header == ["a"]
+        assert values.shape == (3, 1)
+        np.testing.assert_array_equal(values, _read_csv_table_checked(loglik)[1])
+        assert load_samples(loglik, meta).values.shape == (3, 1)
+
+    def test_single_row_single_column(self, tmp_path):
+        loglik, meta = write_corpus(tmp_path, "a\n1\n", [0])
+        assert _read_csv_table(loglik)[1].shape == (1, 1)
+        with pytest.raises(DegenerateSample):
+            load_samples(loglik, meta)
+
+
+# Cells on which float() and numpy's C parser disagree, or which only one of
+# them accepts, next to cells that are not finite or not numbers at all.
+TRICKY_CELLS = [
+    "1_000", "\uff11", "\u0663", "1\r", '"1.5"', " 1", "2 ", "\t3", " 4\t",
+    "nan", "inf", "-inf", "1e400", "",
+]
+BLANK_LINES = ["", " ", "\t", "  \t "]
+
+
+@st.composite
+def draws_csv_text(draw):
+    n_cols = draw(st.integers(1, 3))
+    names = [f"c{i}" for i in range(n_cols)]
+    if draw(st.booleans()):
+        names[0] = '"c,0"'
+    if n_cols > 1 and draw(st.booleans()):
+        names[-1] = f" {names[-1]}\t"
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(format_float)
+    # one_of picks a branch uniformly, so repeats weight the common cases
+    cell = st.one_of(*[finite] * 6, st.sampled_from(TRICKY_CELLS))
+    row = st.lists(cell, min_size=n_cols, max_size=n_cols).map(",".join)
+    ragged = st.lists(cell, min_size=0, max_size=n_cols + 1).map(",".join)
+    line = st.one_of(*[row] * 6, ragged, st.sampled_from(BLANK_LINES))
+    lines = [",".join(names)] + draw(st.lists(line, min_size=1, max_size=5))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def _parse_outcome(reader, path):
+    try:
+        header, values = reader(path)
+    except DiagnosticsError as exc:
+        return type(exc), str(exc)
+    return header, values.shape, values.tobytes()
+
+
+class TestParsersAgree:
+    @settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=300,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=draws_csv_text())
+    def test_fast_and_checked_parsers_agree(self, tmp_path, text):
+        """Both parsers return the same bits, or raise the same error."""
+        path = tmp_path / "draws.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _parse_outcome(_read_csv_table, path) == _parse_outcome(
+            _read_csv_table_checked, path
+        )
+
 
 class TestRoundTrip:
     def test_serialize_then_load_is_identity(self, tmp_path):
@@ -129,6 +214,33 @@ class TestRoundTrip:
         again = load_predictive(tmp_path / "pred.csv", tmp_path / "meta.json")
         assert again.family == "normal"
         np.testing.assert_array_equal(again.params, pred.params)
+
+    def test_written_bytes_match_per_cell_format(self, tmp_path):
+        """Each cell is written as format_float of its value, comma-joined."""
+        rng = np.random.default_rng(3)
+        # more rows than one write block, and extreme magnitudes
+        values = rng.standard_normal((2500, 3)) * 10.0 ** rng.integers(-300, 300, (2500, 3))
+        values[0] = [-0.0, 5e-324, 1.7976931348623157e308]
+        samples = LogLikSamples(
+            values=values, draw_chain=[0] * 1250 + [1] * 1250, obs_ids=("a", "b", "c")
+        )
+        write_loglik_csv(samples, tmp_path / "out.csv")
+        expected = "a,b,c\n" + "".join(
+            ",".join(format_float(v) for v in row) + "\n" for row in values
+        )
+        assert (tmp_path / "out.csv").read_bytes() == expected.encode("utf-8")
+
+    def test_predictive_columns_in_any_order(self, tmp_path):
+        """Observations keep first-appearance order; params follow the family order."""
+        pred_file = tmp_path / "pred.csv"
+        pred_file.write_text("b.var,a.mean,b.mean,a.var\n1,2,3,4\n5,6,7,8\n")
+        meta = tmp_path / "meta.json"
+        meta.write_text('{"chains": [0, 1], "families": "normal"}')
+        pred = load_predictive(pred_file, meta)
+        assert pred.obs_ids == ("b", "a")
+        np.testing.assert_array_equal(
+            pred.params, [[[3, 1], [2, 4]], [[7, 5], [6, 8]]]
+        )
 
 
 class TestAggregate:
@@ -187,6 +299,20 @@ class TestAggregate:
         samples = self.make([[1, 2], [3, 4]], ("a", "b"))
         with pytest.raises(UncoveredObsId):
             aggregate(samples, GroupMap({"a": "g"}))
+
+
+class TestContainerErrors:
+    def test_obs_id_count_mismatch(self):
+        with pytest.raises(MalformedCsv, match="got 3 obs ids for 2 columns"):
+            LogLikSamples(values=np.zeros((2, 2)), draw_chain=[0, 1], obs_ids="abc")
+        with pytest.raises(MalformedCsv, match="got 3 obs ids for 2 columns"):
+            PredictiveDraws(
+                family="poisson", params=np.ones((2, 2, 1)), draw_chain=[0, 1], obs_ids="abc"
+            )
+
+    def test_values_must_be_two_dimensional(self):
+        with pytest.raises(InvalidParameter, match="2-d"):
+            LogLikSamples(values=np.zeros(4), draw_chain=[0, 0, 1, 1], obs_ids="abcd")
 
 
 class TestPredictiveDraws:
