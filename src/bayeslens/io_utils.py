@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
@@ -34,6 +35,25 @@ def jsonable(obj: Any) -> Any:
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
+
+
+@contextmanager
+def open_text(path: str | os.PathLike, error: type[Exception]):
+    """Open an input file as UTF-8 text; a byte that does not decode raises ``error``."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_json(path: str | os.PathLike, error: type[Exception], what: str) -> Any:
+    """Parse a UTF-8 JSON input file; undecodable bytes or invalid JSON raise ``error``."""
+    with open_text(path, error) as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: invalid {what} JSON ({exc})") from None
 
 
 def dump_json(path: str | os.PathLike, payload: dict) -> None:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from .errors import (
     InvalidParameter,
@@ -24,88 +24,10 @@ from .errors import (
     SingleDraw,
     ZeroLeverage,
 )
+from .families import FAMILIES, check_params, lookup
 from .io_utils import dump_json, format_float, write_csv_rows
-from .sample_store import GroupMap, PredictiveDraws, _first_appearance, group_members
+from .sample_store import GroupMap, PredictiveDraws, group_members, replicate_groups
 from .influence import _as_direction
-
-
-# ---------------------------------------------------------------------------
-# Closed-form KL divergences (nats), vectorized over parameter arrays
-# ---------------------------------------------------------------------------
-
-def _check_positive(name: str, *arrays) -> None:
-    for arr in arrays:
-        if not np.all(np.asarray(arr) > 0):
-            raise InvalidParameter(f"{name} must be positive")
-
-
-def _check_prob(*arrays) -> None:
-    for arr in arrays:
-        arr = np.asarray(arr)
-        if not (np.all(arr > 0) and np.all(arr < 1)):
-            raise InvalidParameter("probabilities must lie in (0, 1)")
-
-
-def _kl_normal_known_var(mean1, var1, mean2, var2):
-    _check_positive("variance", var1, var2)
-    var1 = np.asarray(var1, dtype=float)
-    if not np.allclose(var1, var2, rtol=1e-9, atol=0.0):
-        raise InvalidParameter("known-variance normals must share their variance")
-    return (np.asarray(mean1) - np.asarray(mean2)) ** 2 / (2.0 * var1)
-
-
-def _kl_normal(mean1, var1, mean2, var2):
-    _check_positive("variance", var1, var2)
-    mean1, var1 = np.asarray(mean1, dtype=float), np.asarray(var1, dtype=float)
-    mean2, var2 = np.asarray(mean2, dtype=float), np.asarray(var2, dtype=float)
-    return 0.5 * (np.log(var2 / var1) + (var1 + (mean1 - mean2) ** 2) / var2 - 1.0)
-
-
-def _kl_poisson(rate1, rate2):
-    _check_positive("rate", rate1, rate2)
-    rate1 = np.asarray(rate1, dtype=float)
-    rate2 = np.asarray(rate2, dtype=float)
-    return rate1 * np.log(rate1 / rate2) - rate1 + rate2
-
-
-def _kl_binomial(prob1, trials1, prob2, trials2):
-    _check_prob(prob1, prob2)
-    trials1 = np.asarray(trials1)
-    if np.any(trials1 < 1):
-        raise InvalidParameter("binomial trial counts must be >= 1")
-    if not np.array_equal(trials1, np.asarray(trials2)):
-        raise InvalidParameter("binomial KL needs matching trial counts")
-    prob1 = np.asarray(prob1, dtype=float)
-    prob2 = np.asarray(prob2, dtype=float)
-    per_trial = prob1 * np.log(prob1 / prob2) + (1.0 - prob1) * np.log(
-        (1.0 - prob1) / (1.0 - prob2)
-    )
-    return trials1 * per_trial
-
-
-def _kl_gamma(shape1, rate1, shape2, rate2):
-    _check_positive("shape", shape1, shape2)
-    _check_positive("rate", rate1, rate2)
-    shape1 = np.asarray(shape1, dtype=float)
-    rate1 = np.asarray(rate1, dtype=float)
-    shape2 = np.asarray(shape2, dtype=float)
-    rate2 = np.asarray(rate2, dtype=float)
-    return (
-        (shape1 - shape2) * digamma(shape1)
-        - gammaln(shape1)
-        + gammaln(shape2)
-        + shape2 * np.log(rate1 / rate2)
-        + shape1 * (rate2 - rate1) / rate1
-    )
-
-
-_KL_FUNCS = {
-    "normal_known_var": _kl_normal_known_var,
-    "normal": _kl_normal,
-    "poisson": _kl_poisson,
-    "binomial": _kl_binomial,
-    "gamma": _kl_gamma,
-}
 
 
 def family_kl(family: str, params1, params2):
@@ -115,17 +37,22 @@ def family_kl(family: str, params1, params2):
     normal families take (mean, variance), poisson (rate,), binomial
     (probability, trials), gamma (shape, rate).
     """
-    try:
-        func = _KL_FUNCS[family]
-    except KeyError:
-        raise InvalidParameter(
-            f"unsupported family '{family}'; expected one of {sorted(_KL_FUNCS)}"
-        ) from None
-    if not isinstance(params1, (tuple, list)):
-        params1 = (params1,)
-    if not isinstance(params2, (tuple, list)):
-        params2 = (params2,)
-    return func(*params1, *params2)
+    spec = lookup(family, InvalidParameter)
+    cols1, cols2 = (list(p) if isinstance(p, (tuple, list)) else [p] for p in (params1, params2))
+    arity = len(spec.params) + spec.takes_trials
+    if len(cols1) != arity or len(cols2) != arity:
+        raise TypeError(f"family '{family}' takes {arity} parameters per side")
+    trials = None
+    if spec.takes_trials:
+        trials = np.asarray(cols1.pop())
+        if not np.array_equal(trials, np.asarray(cols2.pop())):
+            raise InvalidParameter("binomial KL needs matching trial counts")
+    cols = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in cols1 + cols2))
+    k = len(spec.params)
+    # both sides as two draws of one (2, ..., k) array
+    pair = np.stack([np.stack(cols[:k], axis=-1), np.stack(cols[k:], axis=-1)])
+    check_params(family, pair, trials)
+    return spec.kl(pair[0], pair[1], trials)
 
 
 def mc_kl(logp1, logp2) -> float:
@@ -144,53 +71,6 @@ def mc_kl(logp1, logp2) -> float:
     return float(np.mean(logp1 - logp2))
 
 
-# ---------------------------------------------------------------------------
-# Replicate sampling and log-densities for the Monte Carlo fallback
-# ---------------------------------------------------------------------------
-
-def _sample_family(rng: np.random.Generator, family: str, params, trials):
-    if family in ("normal_known_var", "normal"):
-        return rng.normal(params[..., 0], np.sqrt(params[..., 1]))
-    if family == "poisson":
-        return rng.poisson(params[..., 0]).astype(float)
-    if family == "binomial":
-        return rng.binomial(trials, params[..., 0]).astype(float)
-    if family == "gamma":
-        return rng.gamma(params[..., 0], 1.0 / params[..., 1])
-    raise InvalidParameter(f"unsupported family '{family}'")
-
-
-def _logpdf_family(family: str, outcome, params, trials):
-    if family in ("normal_known_var", "normal"):
-        mean, var = params[..., 0], params[..., 1]
-        return -0.5 * np.log(2.0 * np.pi * var) - (outcome - mean) ** 2 / (2.0 * var)
-    if family == "poisson":
-        rate = params[..., 0]
-        return outcome * np.log(rate) - rate - gammaln(outcome + 1.0)
-    if family == "binomial":
-        prob = params[..., 0]
-        return (
-            gammaln(trials + 1.0)
-            - gammaln(outcome + 1.0)
-            - gammaln(trials - outcome + 1.0)
-            + outcome * np.log(prob)
-            + (trials - outcome) * np.log1p(-prob)
-        )
-    if family == "gamma":
-        shape, rate = params[..., 0], params[..., 1]
-        return (
-            shape * np.log(rate)
-            - gammaln(shape)
-            + (shape - 1.0) * np.log(outcome)
-            - rate * outcome
-        )
-    raise InvalidParameter(f"unsupported family '{family}'")
-
-
-# ---------------------------------------------------------------------------
-# Hat values
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class HatValues:
     """Per-observation leverage (nonnegative, nats) with Monte Carlo errors.
@@ -198,8 +78,9 @@ class HatValues:
     ``p_d_star`` is the sum of the hat-values (an effective number of
     parameters); ``cllev`` holds each observation's share of it (NaN when
     total leverage is zero). ``negative_pairs`` counts per observation how
-    many pairwise estimates were negative before flooring (only the Monte
-    Carlo path can produce them).
+    many pairwise estimates were negative before flooring: the Monte Carlo
+    path produces them by chance, and the closed form through round-off on
+    near-identical pairs.
     """
 
     obs_ids: tuple[str, ...]
@@ -241,43 +122,25 @@ class HatValues:
 
 
 def _split_streams(draw_chain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    labels = _first_appearance(draw_chain.tolist())
+    labels = list(dict.fromkeys(draw_chain.tolist()))
     if len(labels) >= 2:
-        first = set(labels[: (len(labels) + 1) // 2])
-        mask = np.array([label in first for label in draw_chain])
+        mask = np.isin(draw_chain, labels[: (len(labels) + 1) // 2])
         return np.flatnonzero(mask), np.flatnonzero(~mask)
     warnings.warn(
         "single chain: pairing first half against second half; "
         "halves are not strictly independent",
         stacklevel=3,
     )
-    rows = np.arange(draw_chain.shape[0])
-    half = rows.shape[0] // 2
-    return rows[:half], rows[half:]
-
-
-def _pair_kl(family, params1, params2, trials):
-    if family in ("normal_known_var", "normal"):
-        args1 = (params1[:, :, 0], params1[:, :, 1])
-        args2 = (params2[:, :, 0], params2[:, :, 1])
-    elif family == "poisson":
-        args1 = (params1[:, :, 0],)
-        args2 = (params2[:, :, 0],)
-    elif family == "binomial":
-        args1 = (params1[:, :, 0], trials[np.newaxis, :])
-        args2 = (params2[:, :, 0], trials[np.newaxis, :])
-    else:  # gamma
-        args1 = (params1[:, :, 0], params1[:, :, 1])
-        args2 = (params2[:, :, 0], params2[:, :, 1])
-    return family_kl(family, args1, args2)
+    first, second = replicate_groups(draw_chain)
+    return first, second
 
 
 def _pair_mc_kl(rng, family, params1, params2, trials, replicates):
     total = np.zeros(params1.shape[:2])
     for _ in range(replicates):
-        outcome = _sample_family(rng, family, params1, trials)
-        total += _logpdf_family(family, outcome, params1, trials)
-        total -= _logpdf_family(family, outcome, params2, trials)
+        outcome = family.sample(rng, params1, trials)
+        total += family.logpdf(outcome, params1, trials)
+        total -= family.logpdf(outcome, params2, trials)
     return total / replicates
 
 
@@ -309,21 +172,14 @@ def hat_values(
     rows2 = idx2[rng.permutation(idx2.shape[0])][:n_pairs]
     params1 = pred.params[rows1]
     params2 = pred.params[rows2]
-
+    # the draws were checked when ``pred`` was built, so no pair is re-checked
+    family = FAMILIES[pred.family]
+    kl = family.kl
     if force_mc:
-        pair_values = _pair_mc_kl(
-            rng, pred.family, params1, params2, pred.trials, mc_replicates
-        )
-        if symmetrize:
-            reverse = _pair_mc_kl(
-                rng, pred.family, params2, params1, pred.trials, mc_replicates
-            )
-            pair_values = (pair_values + reverse) / 2.0
-    else:
-        pair_values = _pair_kl(pred.family, params1, params2, pred.trials)
-        if symmetrize:
-            reverse = _pair_kl(pred.family, params2, params1, pred.trials)
-            pair_values = (pair_values + reverse) / 2.0
+        kl = partial(_pair_mc_kl, rng, family, replicates=mc_replicates)
+    pair_values = kl(params1, params2, pred.trials)
+    if symmetrize:
+        pair_values = (pair_values + kl(params2, params1, pred.trials)) / 2.0
 
     raw = pair_values.mean(axis=0)
     mcse = pair_values.std(axis=0, ddof=1) / math.sqrt(n_pairs)

@@ -10,7 +10,6 @@ the Monte Carlo estimators and a reproducible test-data generator.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from .errors import (
     NonFiniteInput,
     SingularSystem,
 )
-from .io_utils import dump_json, format_float, write_csv_rows
+from .io_utils import dump_json, format_float, read_json, write_csv_rows
 from .sample_store import LogLikSamples, PredictiveDraws
 
 
@@ -388,11 +387,7 @@ def random_spec(
 
 def load_spec_json(path: str | os.PathLike) -> LinearModelSpec:
     """Read a spec from JSON with keys X (row-major), y, sigma2, Psi (row-major)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InvalidParameter(f"{path}: invalid spec JSON ({exc})") from None
+    raw = read_json(path, InvalidParameter, "spec")
     if not isinstance(raw, dict):
         raise InvalidParameter(f"{path}: spec JSON must be an object")
     missing = [key for key in ("X", "y", "sigma2", "Psi") if key not in raw]

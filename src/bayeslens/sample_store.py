@@ -11,7 +11,6 @@ safe to share across threads.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import warnings
@@ -22,6 +21,7 @@ import numpy as np
 from .errors import (
     ChainMismatch,
     DegenerateSample,
+    DiagnosticsError,
     DuplicateObsId,
     FamilyMismatch,
     InvalidParameter,
@@ -30,39 +30,36 @@ from .errors import (
     UncoveredObsId,
     UnknownObsId,
 )
-
-# Parameter columns per predictive family, in CSV order.
-FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "normal_known_var": ("mean", "var"),
-    "normal": ("mean", "var"),
-    "poisson": ("rate",),
-    "binomial": ("prob",),
-    "gamma": ("shape", "rate"),
-}
+from .families import FAMILIES, check_params, lookup
+from .io_utils import dump_json, open_text, read_json
 
 
-def _first_appearance(labels) -> list:
-    seen: dict = {}
-    for label in labels:
-        if label not in seen:
-            seen[label] = None
-    return list(seen)
+def _integer_array(values, error: type[DiagnosticsError], message: str) -> np.ndarray:
+    """``values`` as an int array; ``error(message)`` unless each is a non-boolean integer."""
+    # Types are checked before the int cast, which truncates 0.5 and True
+    # and overflows beyond int64.
+    if isinstance(values, np.ndarray):
+        integral = values.dtype.kind in "iu"
+    else:
+        items = values if np.iterable(values) else [values]
+        integral = all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in items
+        )
+    if integral:
+        try:
+            return np.array(values, dtype=int)
+        except OverflowError:
+            pass
+    raise error(message)
 
 
 def _chain_array(draw_chain, n_draws: int) -> np.ndarray:
     """Validated chain labels: one non-negative, non-boolean integer per draw."""
     # Single-draw chains are accepted here; operations that need two draws
     # per chain (stream pairing, replicate standard errors) enforce it.
-    # Types are checked before the int cast, which truncates 0.5 and True.
-    if isinstance(draw_chain, np.ndarray):
-        integral = draw_chain.dtype.kind in "iu"
-    else:
-        integral = all(
-            isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in draw_chain
-        )
-    if not integral:
-        raise ChainMismatch("chain labels must be non-negative integers")
-    labels = np.array(draw_chain, dtype=int)
+    labels = _integer_array(
+        draw_chain, ChainMismatch, "chain labels must be non-negative integers"
+    )
     if labels.shape != (n_draws,):
         raise ChainMismatch(
             f"chain metadata has {labels.shape[0] if labels.ndim == 1 else '?'} "
@@ -125,7 +122,7 @@ class LogLikSamples:
     @property
     def chain_labels(self) -> list[int]:
         """Chain labels in order of first appearance."""
-        return _first_appearance(self.draw_chain.tolist())
+        return list(dict.fromkeys(self.draw_chain.tolist()))
 
 
 def replicate_groups(draw_chain: np.ndarray) -> list[np.ndarray]:
@@ -135,7 +132,7 @@ def replicate_groups(draw_chain: np.ndarray) -> list[np.ndarray]:
     draws are split in half.
     """
     draw_chain = np.asarray(draw_chain)
-    labels = _first_appearance(draw_chain.tolist())
+    labels = list(dict.fromkeys(draw_chain.tolist()))
     if len(labels) >= 2:
         return [np.flatnonzero(draw_chain == label) for label in labels]
     half = draw_chain.shape[0] // 2
@@ -148,7 +145,7 @@ class PredictiveDraws:
     """Per-draw, per-observation predictive-distribution parameters.
 
     ``params`` has shape (S, n, k) with the parameter order of
-    ``FAMILY_PARAMS[family]``. Binomial trial counts are fixed per
+    ``FAMILIES[family].params``. Binomial trial counts are fixed per
     observation and stored separately in ``trials``.
     """
 
@@ -159,16 +156,12 @@ class PredictiveDraws:
     trials: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILY_PARAMS:
-            raise FamilyMismatch(
-                f"unsupported family '{self.family}'; "
-                f"expected one of {sorted(FAMILY_PARAMS)}"
-            )
+        names = lookup(self.family, FamilyMismatch).params
         params = np.array(self.params, dtype=float)
-        if params.ndim != 3 or params.shape[2] != len(FAMILY_PARAMS[self.family]):
+        if params.ndim != 3 or params.shape[2] != len(names):
             raise InvalidParameter(
                 f"params must have shape (draws, observations, "
-                f"{len(FAMILY_PARAMS[self.family])}) for family '{self.family}'"
+                f"{len(names)}) for family '{self.family}'"
             )
         n_draws, n_obs, _ = params.shape
         if n_draws < 2:
@@ -179,35 +172,19 @@ class PredictiveDraws:
         if len(obs_ids) != n_obs:
             raise MalformedCsv(f"got {len(obs_ids)} obs ids for {n_obs} columns")
         draw_chain = _chain_array(self.draw_chain, n_draws)
-        self._validate_params(params)
-        trials = None
-        if self.family == "binomial":
-            if self.trials is None:
-                raise InvalidParameter("binomial draws need per-observation trial counts")
-            trials = np.array(self.trials, dtype=int)
+        trials = self.trials
+        if trials is not None:
+            trials = _integer_array(trials, InvalidParameter, "trial counts must be integers")
             if trials.shape != (n_obs,):
                 raise InvalidParameter("trials must hold one count per observation")
-            if np.any(trials < 1):
-                raise InvalidParameter("binomial trial counts must be >= 1")
-        elif self.trials is not None:
-            raise InvalidParameter(f"family '{self.family}' takes no trial counts")
+            trials.setflags(write=False)
+        check_params(self.family, params, trials)
         params.setflags(write=False)
         draw_chain.setflags(write=False)
-        if trials is not None:
-            trials.setflags(write=False)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "draw_chain", draw_chain)
         object.__setattr__(self, "obs_ids", obs_ids)
         object.__setattr__(self, "trials", trials)
-
-    def _validate_params(self, params: np.ndarray) -> None:
-        names = FAMILY_PARAMS[self.family]
-        for j, name in enumerate(names):
-            block = params[:, :, j]
-            if name in ("var", "rate", "shape") and not np.all(block > 0):
-                raise InvalidParameter(f"{self.family} '{name}' must be positive everywhere")
-            if name == "prob" and not (np.all(block > 0) and np.all(block < 1)):
-                raise InvalidParameter("binomial 'prob' must lie in (0, 1) everywhere")
 
     @property
     def n_draws(self) -> int:
@@ -249,7 +226,7 @@ class GroupMap:
     @property
     def labels(self) -> list[str]:
         """Group labels in first-appearance order of the assignment."""
-        return _first_appearance(self.assignment.values())
+        return list(dict.fromkeys(self.assignment.values()))
 
     @classmethod
     def identity(cls, obs_ids) -> "GroupMap":
@@ -308,7 +285,7 @@ def _read_csv_table(path: str | os.PathLike) -> tuple[list[str], np.ndarray]:
     read again by ``_read_csv_table_checked``, which is the only source of
     error messages.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open_text(path, MalformedCsv) as handle:
         header = [cell.strip() for cell in next(csv.reader(handle), [])]
         if header and all(header):
             try:
@@ -334,7 +311,7 @@ def _read_csv_table(path: str | os.PathLike) -> tuple[list[str], np.ndarray]:
 
 def _read_csv_table_checked(path: str | os.PathLike) -> tuple[list[str], np.ndarray]:
     """Parse a draws CSV cell by cell, naming the row, column and cell of an error."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open_text(path, MalformedCsv) as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -376,11 +353,7 @@ def _read_csv_table_checked(path: str | os.PathLike) -> tuple[list[str], np.ndar
 def _read_metadata(path: str | os.PathLike, n_rows: int) -> dict:
     if not os.path.exists(path):
         raise ChainMismatch(f"metadata file not found: {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            meta = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ChainMismatch(f"{path}: invalid metadata JSON ({exc})") from None
+    meta = read_json(path, ChainMismatch, "metadata")
     if not isinstance(meta, dict) or "chains" not in meta:
         raise ChainMismatch(f"{path}: metadata must be an object with a 'chains' list")
     chains = meta["chains"]
@@ -434,14 +407,11 @@ def load_predictive(
     header, table = _read_csv_table(pred_file)
     meta = _read_metadata(metadata_file, table.shape[0])
     family = _resolve_family(meta, family)
-    if family not in FAMILY_PARAMS:
-        raise FamilyMismatch(
-            f"unsupported family '{family}'; expected one of {sorted(FAMILY_PARAMS)}"
-        )
-    param_names = FAMILY_PARAMS[family]
+    spec = lookup(family, FamilyMismatch)
+    param_names = spec.params
 
+    # observation -> {param: column index}, observations in first-appearance order
     columns: dict[str, dict[str, int]] = {}
-    order: list[str] = []
     for idx, name in enumerate(header):
         obs, sep, param = name.rpartition(".")
         if not sep or param not in param_names or not obs:
@@ -449,39 +419,38 @@ def load_predictive(
                 f"{pred_file}: column '{name}' is not of the form "
                 f"<obs_id>.<param> with param in {param_names}"
             )
-        if obs not in columns:
-            columns[obs] = {}
-            order.append(obs)
-        if param in columns[obs]:
+        found = columns.setdefault(obs, {})
+        if param in found:
             raise DuplicateObsId(f"{pred_file}: repeated column '{name}'")
-        columns[obs][param] = idx
-    for obs in order:
-        missing = [p for p in param_names if p not in columns[obs]]
+        found[param] = idx
+    for obs, found in columns.items():
+        missing = [p for p in param_names if p not in found]
         if missing:
             raise MalformedCsv(
                 f"{pred_file}: observation '{obs}' is missing columns {missing}"
             )
+    order = tuple(columns)
 
-    idx = [columns[obs][param] for obs in order for param in param_names]
+    idx = [found[param] for found in columns.values() for param in param_names]
     params = table[:, idx].reshape(table.shape[0], len(order), len(param_names))
 
     trials = None
-    if family == "binomial":
+    if spec.takes_trials:
         raw = meta.get("trials")
         if not isinstance(raw, dict):
             raise InvalidParameter(
-                "binomial predictive draws need a metadata 'trials' object"
+                f"{family} predictive draws need a metadata 'trials' object"
             )
         missing = [obs for obs in order if obs not in raw]
         if missing:
             raise InvalidParameter(f"metadata 'trials' misses observations: {missing}")
-        trials = np.array([int(raw[obs]) for obs in order])
+        trials = [raw[obs] for obs in order]
 
     return PredictiveDraws(
         family=family,
         params=params,
         draw_chain=meta["chains"],
-        obs_ids=tuple(order),
+        obs_ids=order,
         trials=trials,
     )
 
@@ -520,24 +489,18 @@ def write_metadata_json(
             }
     elif family is not None:
         meta["families"] = family
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    dump_json(path, meta)
 
 
 def write_predictive_csv(pred: PredictiveDraws, path: str | os.PathLike) -> None:
-    names = FAMILY_PARAMS[pred.family]
+    names = FAMILIES[pred.family].params
     header = [f"{obs}.{param}" for obs in pred.obs_ids for param in names]
     _write_draws_csv(path, header, pred.params.reshape(pred.n_draws, -1))
 
 
 def load_group_map(path: str | os.PathLike) -> GroupMap:
     """Load a group map from a JSON object of ``{obs_id: group_label}``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise UncoveredObsId(f"{path}: invalid group map JSON ({exc})") from None
+    raw = read_json(path, UncoveredObsId, "group map")
     if not isinstance(raw, dict):
         raise UncoveredObsId(f"{path}: group map must be a JSON object")
     return GroupMap(raw)

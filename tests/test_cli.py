@@ -136,8 +136,9 @@ class TestInfluenceCommand:
 
     @pytest.mark.parametrize(
         "chains",
-        [["x", "x", "y"], [0.5, 0.5, 1.7], [True, True, False], [0, 0, True]],
-        ids=["strings", "floats", "booleans", "int_and_bool"],
+        [["x", "x", "y"], [0.5, 0.5, 1.7], [True, True, False], [0, 0, True],
+         [0, 0, 10**30]],
+        ids=["strings", "floats", "booleans", "int_and_bool", "beyond_int64"],
     )
     def test_non_integer_chain_labels_fail_closed(self, tmp_path, capsys, chains):
         loglik, meta = write_toy(tmp_path)
@@ -185,6 +186,63 @@ class TestInfluenceCommand:
         )
         report = read_json(out / "group_conflict.json")
         np.testing.assert_allclose(report["ratio"], [1.0, 1.0])
+
+
+def assert_one_error_line(capsys, error):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+
+
+class TestBadInputsFailClosed:
+    @pytest.mark.parametrize(
+        "trials",
+        ['"x"', "2.5", "true", "1e30", str(10**30), "0", "[3]"],
+        ids=["string", "float", "boolean", "huge_float", "beyond_int64", "zero", "list"],
+    )
+    def test_bad_binomial_trials(self, tmp_path, capsys, trials):
+        """A trial count that is not an integer >= 1 exits 1 and writes nothing."""
+        pred = tmp_path / "pred.csv"
+        pred.write_text("a.prob,b.prob\n0.25,0.5\n0.5,0.5\n0.75,0.5\n0.5,0.5\n")
+        meta = tmp_path / "meta.json"
+        meta.write_text(
+            '{"chains": [0, 0, 1, 1], "families": "binomial", '
+            '"trials": {"a": %s, "b": 4}}' % trials
+        )
+        out = tmp_path / "out"
+        code = main(["leverage", "--pred", str(pred), "--meta", str(meta), "--out", str(out)])
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidParameter")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, data, error",
+        [
+            ("loglik.csv", b"a,\xffb\n0,0\n1,2\n2,4\n", "MalformedCsv"),
+            # past the first block the text reader decodes
+            ("loglik.csv", b"a,b\n" + b"0,0\n1,2\n" * 3000 + b"2,\xff\n", "MalformedCsv"),
+            ("meta.json", b'{"chains": [0, 0, 1], "note": "\xff"}', "ChainMismatch"),
+            ("groups.json", b'{"a": "\xff", "b": "g"}', "UncoveredObsId"),
+            ("spec.json", b'{"X": [[1.0]], "y": [\xff], "sigma2": 1, "Psi": [[0]]}',
+             "InvalidParameter"),
+        ],
+        ids=["csv_header", "csv_data_row", "metadata", "group_map", "spec"],
+    )
+    def test_non_utf8_input(self, tmp_path, capsys, name, data, error):
+        """A byte that is not UTF-8 gives the reader's malformed-file error."""
+        loglik, meta = write_toy(tmp_path)
+        groups = tmp_path / "groups.json"
+        groups.write_text('{"a": "g", "b": "g"}')
+        (tmp_path / name).write_bytes(data)
+        out = tmp_path / "out"
+        if name == "spec.json":
+            argv = ["oracle", "--spec", str(tmp_path / name)]
+        else:
+            argv = ["conflict", "--loglik", str(loglik), "--meta", str(meta),
+                    "--groups", str(groups)]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert_one_error_line(capsys, error)
+        assert not out.exists()
 
 
 class TestSimulateAndPipeline:

@@ -24,6 +24,19 @@ from bayeslens.errors import (
     ZeroPerturbation,
 )
 
+FAMILY_NAMES = ("normal_known_var", "normal", "poisson", "binomial", "gamma")
+
+# (family, parameter column, a value outside that parameter's domain)
+OUT_OF_DOMAIN = [
+    ("normal_known_var", 1, 0.0),
+    ("normal", 1, -1.0),
+    ("poisson", 0, 0.0),
+    ("binomial", 0, 0.0),
+    ("binomial", 0, 1.0),
+    ("gamma", 0, -0.5),
+    ("gamma", 1, 0.0),
+]
+
 
 def normal_pred(means, var=1.0, chains=None, ids=None):
     """Known-variance normal predictive draws from a mean matrix."""
@@ -215,11 +228,10 @@ class TestHatValues:
         assert not np.allclose(plain.values, sym.values)
         assert np.all(sym.values >= 0.0)
 
-    def test_mc_path_matches_closed_form(self):
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_mc_path_matches_closed_form(self, random_predictive, family):
         """The unbiased replicate estimator tracks the closed form."""
-        rng = np.random.default_rng(29)
-        means = rng.standard_normal((400, 2))
-        pred = normal_pred(means)
+        pred = random_predictive(family, np.random.default_rng(29), 400, 2)
         closed = hat_values(pred, seed=8)
         monte = hat_values(pred, seed=8, force_mc=True, mc_replicates=64)
         combined = np.sqrt(closed.mcse**2 + monte.mcse**2) + 1e-12
@@ -235,18 +247,14 @@ class TestHatValues:
             hat_values(large, seed=9).mcse < hat_values(small, seed=9).mcse
         )
 
-    def test_poisson_and_gamma_families(self):
+    def test_poisson_and_gamma_families(self, random_predictive):
         rng = np.random.default_rng(31)
-        rates = rng.uniform(0.5, 4.0, (60, 3))
-        pred = PredictiveDraws(
-            family="poisson",
-            params=rates[:, :, np.newaxis],
-            draw_chain=[0] * 30 + [1] * 30,
-            obs_ids=("a", "b", "c"),
-        )
-        hat = hat_values(pred, seed=10)
-        assert np.all(hat.values >= 0.0)
-        assert hat.p_d_star == float(np.sum(hat.values))
+        for family in ("poisson", "gamma"):
+            pred = random_predictive(family, rng, 60, 3)
+            assert pred.family == family
+            hat = hat_values(pred, seed=10)
+            assert np.all(hat.values >= 0.0)
+            assert hat.p_d_star == float(np.sum(hat.values))
 
     def test_cllev_sums_to_one(self):
         rng = np.random.default_rng(36)
@@ -265,6 +273,52 @@ class TestHatValues:
         )
         hat = hat_values(pred, seed=11)
         assert np.all(hat.values >= 0.0)
+
+
+class TestDomainChecks:
+    @pytest.mark.parametrize("family,column,value", OUT_OF_DOMAIN)
+    def test_predictive_draws_reject(self, random_predictive, family, column, value):
+        pred = random_predictive(family, np.random.default_rng(37), 4, 2)
+        params = pred.params.copy()
+        params[:, 0, column] = value
+        with pytest.raises(InvalidParameter):
+            PredictiveDraws(
+                family=family,
+                params=params,
+                draw_chain=pred.draw_chain,
+                obs_ids=pred.obs_ids,
+                trials=pred.trials,
+            )
+
+    @pytest.mark.parametrize("family,column,value", OUT_OF_DOMAIN)
+    def test_family_kl_rejects(self, random_predictive, family, column, value):
+        pred = random_predictive(family, np.random.default_rng(38), 4, 2)
+        good = [float(v) for v in pred.params[0, 1]]
+        bad = list(good)
+        bad[column] = value
+        if pred.trials is not None:
+            good.append(3)
+            bad.append(3)
+        with pytest.raises(InvalidParameter):
+            family_kl(family, tuple(good), tuple(bad))
+        with pytest.raises(InvalidParameter):
+            family_kl(family, tuple(bad), tuple(good))
+
+    def test_known_variance_must_be_constant(self):
+        """A known-variance normal whose variance moves across draws is refused up front."""
+        params = np.array([[[0.0, 1.0]], [[0.5, 1.0]], [[0.0, 2.0]], [[1.0, 2.0]]])
+        with pytest.raises(InvalidParameter, match="var"):
+            PredictiveDraws(
+                family="normal_known_var",
+                params=params,
+                draw_chain=[0, 0, 1, 1],
+                obs_ids=("a",),
+            )
+        # a relative wobble below 1e-9 is round-off, not a second variance
+        params[:, 0, 1] = [1.0, 1.0 + 5e-10, 1.0 - 5e-10, 1.0]
+        PredictiveDraws(
+            family="normal_known_var", params=params, draw_chain=[0, 0, 1, 1], obs_ids=("a",)
+        )
 
 
 class TestCllevDirection:

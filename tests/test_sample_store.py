@@ -31,6 +31,8 @@ from bayeslens.sample_store import (
     write_predictive_csv,
 )
 
+FAMILY_NAMES = ("normal_known_var", "normal", "poisson", "binomial", "gamma")
+
 
 def write_corpus(tmp_path, csv_text, chains, name="loglik.csv", **meta_extra):
     loglik = tmp_path / name
@@ -214,6 +216,21 @@ class TestRoundTrip:
         again = load_predictive(tmp_path / "pred.csv", tmp_path / "meta.json")
         assert again.family == "normal"
         np.testing.assert_array_equal(again.params, pred.params)
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_predictive_round_trip_every_family(self, tmp_path, random_predictive, family):
+        pred = random_predictive(family, np.random.default_rng(8), 6, 3)
+        write_predictive_csv(pred, tmp_path / "pred.csv")
+        write_metadata_json(pred, tmp_path / "meta.json")
+        again = load_predictive(tmp_path / "pred.csv", tmp_path / "meta.json")
+        assert again.family == family
+        assert again.obs_ids == pred.obs_ids
+        np.testing.assert_array_equal(again.params, pred.params)
+        np.testing.assert_array_equal(again.draw_chain, pred.draw_chain)
+        if family == "binomial":
+            np.testing.assert_array_equal(again.trials, [1, 2, 3])
+        else:
+            assert again.trials is None
 
     def test_written_bytes_match_per_cell_format(self, tmp_path):
         """Each cell is written as format_float of its value, comma-joined."""
