@@ -215,7 +215,7 @@ def binomial_pw(y, m, pi_draws, variant: str = "binomial") -> np.ndarray:
     m = np.asarray(m, dtype=float).ravel()
     pi_draws = np.asarray(pi_draws, dtype=float)
     if pi_draws.ndim != 2 or pi_draws.shape[1] != y.shape[0] or m.shape != y.shape:
-        raise ValueError("pi_draws must be (draws x observations) matching y and m")
+        raise InvalidParameter("pi_draws must be (draws x observations) matching y and m")
     if pi_draws.shape[0] < 2:
         raise DegenerateSample("need at least 2 draws")
     if np.any(m < 1):

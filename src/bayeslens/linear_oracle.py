@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import (
     DegenerateSample,
@@ -139,16 +138,25 @@ class LinearDiagnostics:
         write_csv_rows(path, header, rows)
 
 
-def _posterior_factor(spec: LinearModelSpec):
+def _cholesky_solver(matrix: np.ndarray):
+    """``rhs -> matrix^{-1} rhs`` through a Cholesky factor; None unless positive definite."""
+    # scipy.linalg loads on first use: the diagnostics never solve with it
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+    try:
+        factor = cho_factor(matrix)
+    except LinAlgError:
+        return None
+    return lambda rhs: cho_solve(factor, rhs)
+
+
+def _posterior_solver(spec: LinearModelSpec):
     precision = (
         spec.prior_precision * spec.noise_variance + spec.design.T @ spec.design
     )
-    try:
-        return cho_factor(precision)
-    except LinAlgError:
-        raise SingularSystem(
-            "posterior precision Psi*sigma2 + X'X is not positive definite"
-        ) from None
+    solve = _cholesky_solver(precision)
+    if solve is None:
+        raise SingularSystem("posterior precision Psi*sigma2 + X'X is not positive definite")
+    return solve
 
 
 def fit(spec: LinearModelSpec) -> LinearDiagnostics:
@@ -161,12 +169,12 @@ def fit(spec: LinearModelSpec) -> LinearDiagnostics:
     cook_i = r_i^2 h_ii / (k sigma2 (1 - h_ii)^2) with k = tr(H)
     p_v    = 2 (r'Hr / sigma2 + tr(H^2) / 2)
     """
-    factor = _posterior_factor(spec)
+    solve = _posterior_solver(spec)
     design = spec.design
     sigma2 = spec.noise_variance
-    hat = design @ cho_solve(factor, design.T)
+    hat = design @ solve(design.T)
     hat = (hat + hat.T) / 2.0
-    theta_bar = cho_solve(factor, design.T @ spec.outcomes)
+    theta_bar = solve(design.T @ spec.outcomes)
     residuals = spec.outcomes - design @ theta_bar
     h = np.diag(hat).copy()
 
@@ -190,13 +198,11 @@ def fit(spec: LinearModelSpec) -> LinearDiagnostics:
 
     gram = design.T @ design
     identity = np.eye(spec.n_params)
-    posterior_cov = sigma2 * cho_solve(factor, identity)
+    posterior_cov = sigma2 * solve(identity)
     fisher = gram / sigma2
     sandwich = fisher @ posterior_cov @ fisher
-    try:
-        theta_hat = cho_solve(cho_factor(gram), design.T @ spec.outcomes)
-    except LinAlgError:
-        theta_hat = None
+    gram_solve = _cholesky_solver(gram)
+    theta_hat = None if gram_solve is None else gram_solve(design.T @ spec.outcomes)
 
     return LinearDiagnostics(
         hat=hat,
@@ -246,10 +252,10 @@ def exact_sampler(
         raise DegenerateSample(
             f"{draws} draws cannot give every one of {chains} chains two draws"
         )
-    factor = _posterior_factor(spec)
+    solve = _posterior_solver(spec)
     sigma2 = spec.noise_variance
-    theta_bar = cho_solve(factor, spec.design.T @ spec.outcomes)
-    posterior_cov = sigma2 * cho_solve(factor, np.eye(spec.n_params))
+    theta_bar = solve(spec.design.T @ spec.outcomes)
+    posterior_cov = sigma2 * solve(np.eye(spec.n_params))
     posterior_cov = (posterior_cov + posterior_cov.T) / 2.0
     try:
         chol = np.linalg.cholesky(posterior_cov)

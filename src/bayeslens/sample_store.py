@@ -478,7 +478,6 @@ def _write_draws_csv(path: str | os.PathLike, header, table: np.ndarray) -> None
 def write_metadata_json(
     samples: LogLikSamples | PredictiveDraws,
     path: str | os.PathLike,
-    family: str | None = None,
 ) -> None:
     meta: dict = {"chains": samples.draw_chain.tolist()}
     if isinstance(samples, PredictiveDraws):
@@ -487,8 +486,6 @@ def write_metadata_json(
             meta["trials"] = {
                 obs: int(m) for obs, m in zip(samples.obs_ids, samples.trials)
             }
-    elif family is not None:
-        meta["families"] = family
     dump_json(path, meta)
 
 

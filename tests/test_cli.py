@@ -26,6 +26,14 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def child_env(**extra):
+    """Environment for a fresh interpreter that imports bayeslens from ``src``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.filterwarnings("ignore:too few draws")
 class TestInfluenceCommand:
     def test_toy_footer_values(self, tmp_path):
@@ -384,6 +392,22 @@ class TestOracleCommand:
         assert json.loads(lines[0])["error"] == "InvalidParameter"
         assert not out.exists()
 
+    def test_singular_gram_spec(self, tmp_path):
+        """With X'X singular, oracle reports no theta_hat and no sandwich check."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {"X": [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], "y": [0.5, -1.0],
+                 "sigma2": 1.0, "Psi": np.eye(3).tolist()}
+            )
+        )
+        out = tmp_path / "out"
+        assert main(["oracle", "--spec", str(spec), "--out", str(out)]) == 0
+        payload = read_json(out / "linear_diagnostics.json")
+        assert payload["theta_hat"] is None
+        assert "sandwich_check" not in payload
+        assert len(payload["theta_bar"]) == 3
+
     def test_missing_spec_file(self, tmp_path, capsys):
         code = main(
             ["oracle", "--spec", str(tmp_path / "none.json"),
@@ -418,13 +442,9 @@ class TestDeterminism:
     def test_bytes_independent_of_blas_thread_count(self, tmp_path):
         """The demo pipeline writes the same outlier artifacts under 1 and 2
         OpenBLAS threads (the eigensolver is the BLAS-heavy step)."""
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                filter(None, [src, env.get("PYTHONPATH")])
-            )
+            env = child_env(OPENBLAS_NUM_THREADS=threads)
             corpus = tmp_path / threads / "corpus"
             diag = tmp_path / threads / "diag"
             for argv in (
@@ -442,3 +462,66 @@ class TestDeterminism:
             assert (outputs[0] / name).read_bytes() == (
                 outputs[1] / name
             ).read_bytes(), name
+
+
+# Runs ``bayeslens.cli.main`` on argv[1:], then prints the scipy modules it loaded.
+SCIPY_PROBE = """
+import json, sys
+from bayeslens.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+sys.exit(code)
+"""
+
+
+def run_probe(argv):
+    """Exit code and scipy modules of a fresh interpreter running ``main(argv)``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, *argv],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout, proc.stderr
+    return proc.returncode, json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def demo_corpus(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("startup") / "corpus"
+    assert main(["simulate", "--demo", "--draws", "600", "--out", str(corpus)]) == 0
+    obs_ids = (corpus / "loglik.csv").read_text().split("\n", 1)[0].split(",")
+    groups = corpus / "groups.json"
+    groups.write_text(json.dumps({obs: f"g{i % 4}" for i, obs in enumerate(obs_ids)}))
+    return corpus
+
+
+class TestStartupImports:
+    """The diagnostics never solve a linear system, so they never load scipy."""
+
+    def test_import_cli_loads_no_scipy(self):
+        assert run_probe([]) == (0, [])
+
+    @pytest.mark.parametrize(
+        "command, inputs",
+        [
+            ("influence", {"--loglik": "loglik.csv"}),
+            ("leverage", {"--pred": "predictive.csv"}),
+            ("outliers", {"--loglik": "loglik.csv", "--pred": "predictive.csv"}),
+            ("conflict", {"--loglik": "loglik.csv", "--groups": "groups.json"}),
+        ],
+        ids=["influence", "leverage", "outliers", "conflict"],
+    )
+    def test_diagnostic_loads_no_scipy(self, demo_corpus, tmp_path, command, inputs):
+        argv = [command, "--meta", str(demo_corpus / "metadata.json"),
+                "--out", str(tmp_path / "out")]
+        for flag, name in inputs.items():
+            argv += [flag, str(demo_corpus / name)]
+        assert run_probe(argv) == (0, [])
+
+    def test_simulate_and_oracle_in_fresh_process(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        code, _ = run_probe(["simulate", "--demo", "--draws", "600", "--out", str(corpus)])
+        assert code == 0
+        code, _ = run_probe(["oracle", "--spec", str(corpus / "spec_used.json"),
+                             "--out", str(tmp_path / "oracle")])
+        assert code == 0
+        assert read_json(tmp_path / "oracle" / "linear_diagnostics.json")["p_d"] > 0

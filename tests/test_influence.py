@@ -23,6 +23,7 @@ from bayeslens import (
 from bayeslens.errors import (
     CountOutOfRange,
     DegenerateSample,
+    InvalidParameter,
     ProbabilityOutOfRange,
     ZeroPerturbation,
     ZeroTrace,
@@ -279,6 +280,19 @@ class TestBinomialPw:
     def test_probability_out_of_range(self):
         with pytest.raises(ProbabilityOutOfRange):
             binomial_pw([1], [2], [[0.4], [1.0]])
+
+    @pytest.mark.parametrize(
+        "y, m, probs",
+        [
+            ([1, 2], [3, 3], [[0.5], [0.5]]),
+            ([1, 2], [3, 3], [0.5, 0.5]),
+            ([1, 2], [3], [[0.5, 0.5], [0.4, 0.6]]),
+        ],
+        ids=["wrong_width", "one_dimensional", "m_y_mismatch"],
+    )
+    def test_mis_shaped_input(self, y, m, probs):
+        with pytest.raises(InvalidParameter, match="matching y and m"):
+            binomial_pw(y, m, probs)
 
 
 class TestInfluenceReport:

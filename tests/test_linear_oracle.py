@@ -150,6 +150,24 @@ class TestFit:
         with pytest.raises(SingularSystem):
             fit(spec)
 
+    def test_singular_gram_with_informative_prior(self):
+        """p > n makes X'X singular; the prior keeps the posterior proper.
+
+        The Cholesky factorization of X'X = [[1, 0, 1], [0, 1, 1], [1, 1, 2]]
+        meets an exact zero pivot, so X'X is singular in floating point too.
+        """
+        spec = LinearModelSpec(
+            design=np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]),
+            outcomes=np.array([0.5, -1.0]),
+            noise_variance=1.0,
+            prior_precision=np.eye(3),
+        )
+        diag = fit(spec)
+        assert diag.theta_hat is None
+        assert np.all(np.isfinite(diag.theta_bar))
+        with pytest.raises(SingularSystem):
+            sandwich_identity_check(spec)
+
 
 class TestSandwichIdentity:
     def test_flat_prior_gives_zero(self):
