@@ -170,7 +170,7 @@ def cmd_oracle(config: RunConfig) -> int:
     diagnostics = oracle_mod.fit(spec)
     payload = diagnostics.to_dict()
     if diagnostics.theta_hat is not None:
-        lhs, rhs = oracle_mod.sandwich_identity_check(spec)
+        lhs, rhs = diagnostics.sandwich_identity()
         payload["sandwich_check"] = {"lhs": lhs, "rhs": rhs}
     dump_json(_out_path(config, "linear_diagnostics.json"), payload)
     diagnostics.write_csv(_out_path(config, "linear_diagnostics.csv"))

@@ -41,7 +41,7 @@ class CovMatrix:
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("covariance matrix must be square")
+            raise InvalidParameter("covariance matrix must be square")
         matrix = (matrix + matrix.T) / 2.0
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
@@ -81,7 +81,7 @@ class Perturbation:
 def _as_direction(eps, size: int) -> np.ndarray:
     vec = eps.eps if isinstance(eps, Perturbation) else np.asarray(eps, dtype=float).ravel()
     if vec.shape != (size,):
-        raise ValueError(f"perturbation has length {vec.shape[0]}, expected {size}")
+        raise InvalidParameter(f"perturbation has length {vec.shape[0]}, expected {size}")
     if not np.any(vec != 0.0):
         raise ZeroPerturbation("perturbation direction is identically zero")
     return vec

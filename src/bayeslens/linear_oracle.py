@@ -100,6 +100,15 @@ class LinearDiagnostics:
         outer = np.outer(self.residuals, self.residuals)
         return outer * self.hat / self.noise_variance + self.hat**2 / 2.0
 
+    def sandwich_identity(self) -> tuple[float, float]:
+        """Both sides of 2 r'Hr / sigma2 = 2 (theta_hat - theta_bar)' S (theta_hat - theta_bar)."""
+        if self.theta_hat is None:
+            raise SingularSystem("X'X is singular; the maximum-likelihood estimate is undefined")
+        lhs = 2.0 * float(self.residuals @ self.hat @ self.residuals) / self.noise_variance
+        delta = self.theta_hat - self.theta_bar
+        rhs = 2.0 * float(delta @ self.sandwich @ delta)
+        return lhs, rhs
+
     def to_dict(self) -> dict:
         payload = {
             "hat_diag": self.hat_diag,
@@ -140,13 +149,11 @@ class LinearDiagnostics:
 
 def _cholesky_solver(matrix: np.ndarray):
     """``rhs -> matrix^{-1} rhs`` through a Cholesky factor; None unless positive definite."""
-    # scipy.linalg loads on first use: the diagnostics never solve with it
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
     try:
-        factor = cho_factor(matrix)
-    except LinAlgError:
+        lower = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
         return None
-    return lambda rhs: cho_solve(factor, rhs)
+    return lambda rhs: np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
 def _posterior_solver(spec: LinearModelSpec):
@@ -223,14 +230,8 @@ def fit(spec: LinearModelSpec) -> LinearDiagnostics:
 
 
 def sandwich_identity_check(spec: LinearModelSpec) -> tuple[float, float]:
-    """Both sides of 2 r'Hr / sigma2 = 2 (theta_hat - theta_bar)' S (theta_hat - theta_bar)."""
-    diag = fit(spec)
-    if diag.theta_hat is None:
-        raise SingularSystem("X'X is singular; the maximum-likelihood estimate is undefined")
-    lhs = 2.0 * float(diag.residuals @ diag.hat @ diag.residuals) / spec.noise_variance
-    delta = diag.theta_hat - diag.theta_bar
-    rhs = 2.0 * float(delta @ diag.sandwich @ delta)
-    return lhs, rhs
+    """``fit(spec).sandwich_identity()``: both sides of the sandwich identity."""
+    return fit(spec).sandwich_identity()
 
 
 def exact_sampler(
@@ -265,10 +266,13 @@ def exact_sampler(
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((draws, spec.n_params))
     thetas = theta_bar + noise @ chol.T
-    means = thetas @ spec.design.T
-    loglik = -0.5 * np.log(2.0 * np.pi * sigma2) - (spec.outcomes - means) ** 2 / (
-        2.0 * sigma2
-    )
+    # means and the fixed variance go straight into the predictive parameters
+    params = np.empty((draws, spec.n_obs, 2))
+    params[:, :, 0] = thetas @ spec.design.T
+    params[:, :, 1] = sigma2
+    loglik = -0.5 * np.log(2.0 * np.pi * sigma2) - (
+        spec.outcomes - params[:, :, 0]
+    ) ** 2 / (2.0 * sigma2)
 
     base, extra = divmod(draws, chains)
     sizes = [base + (1 if c < extra else 0) for c in range(chains)]
@@ -276,8 +280,9 @@ def exact_sampler(
 
     width = len(str(spec.n_obs))
     obs_ids = tuple(f"obs{i + 1:0{width}d}" for i in range(spec.n_obs))
+    # the containers copy their inputs: release loglik once it is copied
     samples = LogLikSamples(values=loglik, draw_chain=draw_chain, obs_ids=obs_ids)
-    params = np.stack([means, np.full_like(means, sigma2)], axis=2)
+    del loglik
     pred = PredictiveDraws(
         family="normal_known_var",
         params=params,

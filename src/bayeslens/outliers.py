@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankOutOfRange, ZeroHatValue, ZeroTrace
+from .errors import (
+    InvalidParameter,
+    RankOutOfRange,
+    UnknownObsId,
+    ZeroHatValue,
+    ZeroTrace,
+)
 from .influence import CovMatrix, _as_direction
 from .io_utils import dump_json, format_float, write_csv_rows
 from .leverage import HatValues
@@ -31,7 +37,7 @@ def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     work = np.asarray(matrix, dtype=float)
     if work.ndim != 2 or work.shape[0] != work.shape[1]:
-        raise ValueError("matrix must be square")
+        raise InvalidParameter("matrix must be square")
     eigenvalues, vectors = np.linalg.eigh(work)
     # sign convention before ordering so that tie-breaking is deterministic
     columns = np.arange(work.shape[0])
@@ -84,12 +90,12 @@ def outlier_matrix(cov, hat) -> OutlierDecomposition:
         obs_ids = cov.obs_ids
     if isinstance(hat, HatValues):
         if obs_ids is not None and hat.obs_ids != obs_ids:
-            raise ValueError("observation ids of covariance and hat-values differ")
+            raise UnknownObsId("observation ids of covariance and hat-values differ")
         obs_ids = hat.obs_ids
     if obs_ids is None:
         obs_ids = tuple(f"obs{i + 1}" for i in range(matrix.shape[0]))
     if values.shape[0] != matrix.shape[0]:
-        raise ValueError("hat-value vector does not match covariance size")
+        raise InvalidParameter("hat-value vector does not match covariance size")
 
     trace = float(np.trace(matrix))
     if trace <= 0.0:

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from bayeslens import linear_oracle as oracle_mod
 from bayeslens.cli import main
 
 TOY_CSV = "a,b\n0,0\n1,2\n2,4\n"
@@ -408,6 +409,25 @@ class TestOracleCommand:
         assert "sandwich_check" not in payload
         assert len(payload["theta_bar"]) == 3
 
+    def test_fits_once(self, tmp_path, monkeypatch):
+        """The sandwich check reuses the diagnostics ``oracle`` already fitted."""
+        calls = []
+        real_fit = oracle_mod.fit
+
+        def counting_fit(spec):
+            calls.append(spec)
+            return real_fit(spec)
+
+        monkeypatch.setattr(oracle_mod, "fit", counting_fit)
+        spec = tmp_path / "spec.json"
+        oracle_mod.write_spec_json(
+            oracle_mod.random_spec(np.random.default_rng(3), n_obs=12, n_params=2), spec
+        )
+        out = tmp_path / "out"
+        assert main(["oracle", "--spec", str(spec), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert "sandwich_check" in read_json(out / "linear_diagnostics.json")
+
     def test_missing_spec_file(self, tmp_path, capsys):
         code = main(
             ["oracle", "--spec", str(tmp_path / "none.json"),
@@ -495,7 +515,9 @@ def demo_corpus(tmp_path_factory):
 
 
 class TestStartupImports:
-    """The diagnostics never solve a linear system, so they never load scipy."""
+    """No command on normal draws loads scipy: the diagnostics never solve a
+    linear system, and the oracle behind ``simulate`` and ``oracle`` solves
+    with numpy's Cholesky factor."""
 
     def test_import_cli_loads_no_scipy(self):
         assert run_probe([]) == (0, [])
@@ -519,9 +541,9 @@ class TestStartupImports:
 
     def test_simulate_and_oracle_in_fresh_process(self, tmp_path):
         corpus = tmp_path / "corpus"
-        code, _ = run_probe(["simulate", "--demo", "--draws", "600", "--out", str(corpus)])
-        assert code == 0
-        code, _ = run_probe(["oracle", "--spec", str(corpus / "spec_used.json"),
-                             "--out", str(tmp_path / "oracle")])
-        assert code == 0
+        assert run_probe(
+            ["simulate", "--demo", "--draws", "600", "--out", str(corpus)]
+        ) == (0, [])
+        assert run_probe(["oracle", "--spec", str(corpus / "spec_used.json"),
+                          "--out", str(tmp_path / "oracle")]) == (0, [])
         assert read_json(tmp_path / "oracle" / "linear_diagnostics.json")["p_d"] > 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bayeslens import (
+    CovMatrix,
     GroupMap,
     LogLikSamples,
     Perturbation,
@@ -60,6 +61,10 @@ class TestCovariance:
         cov = loglik_covariance(make(rng.standard_normal((40, 6))))
         np.testing.assert_array_equal(cov.matrix, cov.matrix.T)
         assert np.all(np.diag(cov.matrix) >= 0)
+
+    def test_non_square_matrix(self):
+        with pytest.raises(InvalidParameter, match="square"):
+            CovMatrix(matrix=np.ones((2, 3)), obs_ids=("a", "b"))
 
 
 class TestLinf:
@@ -187,6 +192,10 @@ class TestClinfDirection:
     def test_zero_trace(self):
         with pytest.raises(ZeroTrace):
             clinf_direction(np.zeros((2, 2)), Perturbation.ones(2))
+
+    def test_wrong_length_direction(self):
+        with pytest.raises(InvalidParameter, match="length 3, expected 2"):
+            clinf_direction(self.COV, np.ones(3))
 
     def test_zero_perturbation(self):
         with pytest.raises(ZeroPerturbation):

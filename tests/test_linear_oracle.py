@@ -1,6 +1,7 @@
 """Closed-form conjugate linear diagnostics, exact sampler, anomaly planting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,41 @@ class TestFit:
             sandwich_identity_check(spec)
 
 
+def scipy_reference(spec):
+    """The closed forms of ``fit`` solved with scipy's Cholesky routines."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    design, outcomes, sigma2 = spec.design, spec.outcomes, spec.noise_variance
+    gram = design.T @ design
+    factor = cho_factor(spec.prior_precision * sigma2 + gram)
+    hat = design @ cho_solve(factor, design.T)
+    theta_bar = cho_solve(factor, design.T @ outcomes)
+    residuals = outcomes - design @ theta_bar
+    h = np.diag(hat)
+    posterior_cov = sigma2 * cho_solve(factor, np.eye(spec.n_params))
+    return {
+        "hat": hat,
+        "theta_bar": theta_bar,
+        "theta_hat": cho_solve(cho_factor(gram), design.T @ outcomes),
+        "sandwich": gram @ posterior_cov @ gram / sigma2**2,
+        "p_d": np.trace(hat),
+        "p_w": np.sum(residuals**2 * h / sigma2 + h**2 / 2.0),
+        "p_v": 2.0 * (residuals @ hat @ residuals / sigma2 + np.sum(hat**2) / 2.0),
+    }
+
+
+class TestAgainstScipyReference:
+    def test_fit_matches_reference(self):
+        for seed in range(60):
+            spec = random_spec(np.random.default_rng(seed))
+            diag = fit(spec)
+            for name, expected in scipy_reference(spec).items():
+                np.testing.assert_allclose(
+                    getattr(diag, name), expected, rtol=1e-10,
+                    err_msg=f"seed {seed}: {name}",
+                )
+
+
 class TestSandwichIdentity:
     def test_flat_prior_gives_zero(self):
         lhs, rhs = sandwich_identity_check(intercept_spec())
@@ -246,6 +282,17 @@ class TestExactSampler:
             exact_sampler(spec, draws=1, chains=1, seed=1)
         with pytest.raises(DegenerateSample):
             exact_sampler(spec, draws=5, chains=3, seed=1)
+
+    def test_peak_memory_within_twice_the_output(self):
+        """Each draw-sized array is built once: no stacked or filled copies."""
+        spec = random_spec(np.random.default_rng(67), n_obs=40, n_params=3)
+        tracemalloc.start()
+        try:
+            samples, pred = exact_sampler(spec, draws=20_000, chains=4, seed=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * (samples.values.nbytes + pred.params.nbytes)
 
     def test_hat_values_pipeline(self):
         spec = intercept_spec((0.0, 1.0, 2.0, 3.0, 4.0))

@@ -5,6 +5,7 @@ import pytest
 
 from bayeslens import (
     CovMatrix,
+    HatValues,
     Perturbation,
     clout_direction,
     symmetric_eigendecomposition,
@@ -13,7 +14,9 @@ from bayeslens import (
     truncated_clout,
 )
 from bayeslens.errors import (
+    InvalidParameter,
     RankOutOfRange,
+    UnknownObsId,
     ZeroHatValue,
     ZeroPerturbation,
     ZeroTrace,
@@ -60,6 +63,10 @@ class TestSymmetricEigendecomposition:
         for j in range(6):
             peak = np.argmax(np.abs(vectors[:, j]))
             assert vectors[peak, j] > 0
+
+    def test_non_square_matrix(self):
+        with pytest.raises(InvalidParameter, match="square"):
+            symmetric_eigendecomposition(np.ones((2, 3)))
 
     def test_single_entry(self):
         values, vectors = symmetric_eigendecomposition(np.array([[5.0]]))
@@ -126,6 +133,20 @@ class TestOutlierMatrix:
     def test_zero_trace(self):
         with pytest.raises(ZeroTrace):
             outlier_matrix(np.zeros((2, 2)), H_TOY)
+
+    def test_obs_ids_differ(self):
+        cov = CovMatrix(matrix=V_TOY, obs_ids=("a", "b"))
+        hat = HatValues(
+            obs_ids=("a", "c"), values=H_TOY, mcse=np.zeros(2), p_d_star=2.0,
+            p_d_star_mcse=0.0, cllev=H_TOY / 2.0, n_pairs=1,
+            negative_pairs=np.zeros(2, dtype=int),
+        )
+        with pytest.raises(UnknownObsId):
+            outlier_matrix(cov, hat)
+
+    def test_hat_size_mismatch(self):
+        with pytest.raises(InvalidParameter, match="does not match"):
+            outlier_matrix(V_TOY, np.ones(3))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(46)
