@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,13 @@ from .errors import (
     ZeroTrace,
 )
 from .io_utils import dump_json, format_float, write_csv_rows
-from .sample_store import GroupMap, LogLikSamples, group_members, replicate_groups
+from .sample_store import (
+    GroupMap,
+    LogLikSamples,
+    chain_order,
+    group_members,
+    replicate_groups,
+)
 
 
 @dataclass(frozen=True)
@@ -105,23 +112,75 @@ def linf(samples: LogLikSamples) -> np.ndarray:
     return samples.values.var(axis=0, ddof=1)
 
 
-def _dinf_columns(values: np.ndarray) -> np.ndarray:
-    # log-mean-exp with max-shift stabilization
-    shift = values.max(axis=0)
-    logmeanexp = shift + np.log(np.exp(values - shift).mean(axis=0))
-    out = 2.0 * (logmeanexp - values.mean(axis=0))
-    # Jensen guarantees nonnegativity; clamp accumulation round-off and pin
-    # constant columns (Jensen equality) to exactly zero.
-    out = np.maximum(out, 0.0)
-    out[values.min(axis=0) == shift] = 0.0
-    return out
+class _Moments(NamedTuple):
+    """Column moments of a block of draws: the row count, column sums,
+    centred sums of squares, maxima, minima and sums of ``exp(x - high)``."""
+
+    count: int
+    total: np.ndarray
+    sq_dev: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+    exp_sum: np.ndarray
+
+    def linf(self) -> np.ndarray:
+        return self.sq_dev / (self.count - 1)
+
+    def dinf(self) -> np.ndarray:
+        logmeanexp = self.high + np.log(self.exp_sum / self.count)
+        out = 2.0 * (logmeanexp - self.total / self.count)
+        # Jensen guarantees nonnegativity; clamp accumulation round-off and pin
+        # constant columns (Jensen equality) to exactly zero.
+        out = np.maximum(out, 0.0)
+        out[self.low == self.high] = 0.0
+        return out
+
+
+def _block_moments(block: np.ndarray, scratch: np.ndarray) -> _Moments:
+    """The moments of ``block``; ``scratch`` (at least as many rows as
+    ``block``) is the only temporary.
+
+    The steps repeat ``numpy.var``'s (sum, divide, subtract, square, sum) and
+    the max-shifted log-mean-exp's, so ``linf()`` and ``dinf()`` of one block
+    equal ``block.var(axis=0, ddof=1)`` and its Jensen gap bit for bit.
+    """
+    count = block.shape[0]
+    total = block.sum(axis=0)
+    work = scratch[:count]
+    np.subtract(block, total / count, out=work)
+    np.square(work, out=work)
+    sq_dev = work.sum(axis=0)
+    high = block.max(axis=0)
+    np.subtract(block, high, out=work)
+    np.exp(work, out=work)
+    return _Moments(count, total, sq_dev, high, block.min(axis=0), work.sum(axis=0))
+
+
+def _pool(blocks: list[_Moments]) -> _Moments:
+    """Moments of the union of the blocks' rows, merged pairwise: sums of
+    squares by Chan, Golub & LeVeque (1979), extrema and shifted exp sums
+    exactly."""
+    if len(blocks) == 1:
+        return blocks[0]
+    a, b = _pool(blocks[: len(blocks) // 2]), _pool(blocks[len(blocks) // 2:])
+    count = a.count + b.count
+    delta = b.total / b.count - a.total / a.count
+    high = np.maximum(a.high, b.high)
+    return _Moments(
+        count,
+        a.total + b.total,
+        a.sq_dev + b.sq_dev + delta * delta * (a.count * b.count / count),
+        high,
+        np.minimum(a.low, b.low),
+        a.exp_sum * np.exp(a.high - high) + b.exp_sum * np.exp(b.high - high),
+    )
 
 
 def dinf(samples: LogLikSamples) -> np.ndarray:
     """Doubling influence per observation: twice the KL divergence from
     doubling its case weight, i.e. twice the Jensen gap of its likelihood draws."""
     _require_draws(samples.values)
-    return _dinf_columns(samples.values)
+    return _block_moments(samples.values, np.empty(samples.values.shape)).dinf()
 
 
 def p_v(samples: LogLikSamples) -> float:
@@ -310,6 +369,14 @@ class InfluenceReport:
         write_csv_rows(path, header, rows)
 
 
+def _row_selector(idx: np.ndarray) -> slice | np.ndarray:
+    """A slice, so that indexing gives a view, when the ascending row
+    indices ``idx`` are contiguous; otherwise ``idx`` itself (a gather)."""
+    if idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 def _mcse(replicates: list) -> np.ndarray | float:
     stacked = np.stack([np.asarray(r, dtype=float) for r in replicates])
     return stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
@@ -320,47 +387,52 @@ def influence_report(
 ) -> InfluenceReport:
     """Compute every influence diagnostic with replicate-based standard errors.
 
-    The conflict flag marks ``p_v / p_w`` at or above the threshold; it is a
-    pointer for further investigation, never a hard failure.
+    The column moments of each replicate block (a chain, or half of a single
+    chain) are computed once, on a view when the block's rows are contiguous.
+    The MCSEs come from the blocks' statistics and the point estimates from
+    the pooled moments. The conflict flag marks ``p_v / p_w`` at or above the
+    threshold; it is a pointer for further investigation, never a hard failure.
     """
     values = samples.values
     _require_draws(values)
-    linf_vec = linf(samples)
-    dinf_vec = dinf(samples)
+    groups_idx = replicate_groups(samples.draw_chain)
+    replicated = all(len(g) >= 2 for g in groups_idx)
+    if not replicated:
+        groups_idx = [np.arange(values.shape[0])]
+    rows = [_row_selector(idx) for idx in groups_idx]
+    scratch = np.empty((max(len(idx) for idx in groups_idx), values.shape[1]))
+    blocks = [_block_moments(values[r], scratch) for r in rows]
+    pooled = _pool(blocks)
+    linf_vec = pooled.linf()
+    dinf_vec = pooled.dinf()
     total_pw = float(np.sum(linf_vec))
     if total_pw <= 0.0:
         raise ZeroTrace("p_w is zero: all log-likelihood contributions constant")
     total_pw_star = float(np.sum(dinf_vec))
-    total_pv = p_v(samples)
+    row_totals = values.sum(axis=1)
+    total_pv = 2.0 * float(row_totals.var(ddof=1))
     ratio = total_pv / total_pw
     clinf_vec = linf_vec / total_pw
 
-    groups_idx = replicate_groups(samples.draw_chain)
-    n_chains = len(set(samples.draw_chain.tolist()))
-    if len(groups_idx) >= 2 and all(len(g) >= 2 for g in groups_idx):
-        rep_linf, rep_dinf, rep_clinf = [], [], []
-        rep_pw, rep_pws, rep_pv, rep_ratio = [], [], [], []
-        for idx in groups_idx:
-            block = values[idx]
-            block_linf = block.var(axis=0, ddof=1)
-            block_pw = float(np.sum(block_linf))
-            block_pv = 2.0 * float(block.sum(axis=1).var(ddof=1))
-            rep_linf.append(block_linf)
-            rep_dinf.append(_dinf_columns(block))
-            rep_pw.append(block_pw)
-            rep_pws.append(float(np.sum(rep_dinf[-1])))
-            rep_pv.append(block_pv)
-            if block_pw > 0.0:
-                rep_clinf.append(block_linf / block_pw)
-                rep_ratio.append(block_pv / block_pw)
-        have_ratio = len(rep_ratio) == len(groups_idx)
+    n_chains = len(chain_order(samples.draw_chain))
+    if replicated:
+        rep_linf = [block.linf() for block in blocks]
+        rep_dinf = [block.dinf() for block in blocks]
+        rep_pw = [float(np.sum(v)) for v in rep_linf]
+        rep_pws = [float(np.sum(v)) for v in rep_dinf]
+        rep_pv = [2.0 * float(row_totals[r].var(ddof=1)) for r in rows]
+        have_ratio = all(pw > 0.0 for pw in rep_pw)
         linf_mcse = _mcse(rep_linf)
         dinf_mcse = _mcse(rep_dinf)
-        clinf_mcse = _mcse(rep_clinf) if have_ratio else np.full(len(linf_vec), np.nan)
         pw_mcse = float(_mcse(rep_pw))
         pws_mcse = float(_mcse(rep_pws))
         pv_mcse = float(_mcse(rep_pv))
-        ratio_mcse = float(_mcse(rep_ratio)) if have_ratio else math.nan
+        if have_ratio:
+            clinf_mcse = _mcse([v / pw for v, pw in zip(rep_linf, rep_pw)])
+            ratio_mcse = float(_mcse([pv / pw for pv, pw in zip(rep_pv, rep_pw)]))
+        else:
+            clinf_mcse = np.full(len(linf_vec), np.nan)
+            ratio_mcse = math.nan
     else:
         warnings.warn(
             "too few draws per replicate for Monte Carlo standard errors",

@@ -26,7 +26,13 @@ from .errors import (
 )
 from .families import FAMILIES, check_params, lookup
 from .io_utils import dump_json, format_float, write_csv_rows
-from .sample_store import GroupMap, PredictiveDraws, group_members, replicate_groups
+from .sample_store import (
+    GroupMap,
+    PredictiveDraws,
+    chain_order,
+    group_members,
+    replicate_groups,
+)
 from .influence import _as_direction
 
 
@@ -122,9 +128,9 @@ class HatValues:
 
 
 def _split_streams(draw_chain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    labels = list(dict.fromkeys(draw_chain.tolist()))
-    if len(labels) >= 2:
-        mask = np.isin(draw_chain, labels[: (len(labels) + 1) // 2])
+    labels = chain_order(draw_chain)
+    if labels.size >= 2:
+        mask = np.isin(draw_chain, labels[: (labels.size + 1) // 2])
         return np.flatnonzero(mask), np.flatnonzero(~mask)
     warnings.warn(
         "single chain: pairing first half against second half; "

@@ -122,18 +122,24 @@ class LogLikSamples:
     @property
     def chain_labels(self) -> list[int]:
         """Chain labels in order of first appearance."""
-        return list(dict.fromkeys(self.draw_chain.tolist()))
+        return chain_order(self.draw_chain).tolist()
+
+
+def chain_order(draw_chain: np.ndarray) -> np.ndarray:
+    """The distinct chain labels in order of first appearance."""
+    labels, first = np.unique(draw_chain, return_index=True)
+    return labels[np.argsort(first)]
 
 
 def replicate_groups(draw_chain: np.ndarray) -> list[np.ndarray]:
     """Row-index groups used for replicate-based Monte Carlo standard errors.
 
     One group per chain when there are two or more chains; otherwise the
-    draws are split in half.
+    draws are split in half. Each group's indices ascend.
     """
     draw_chain = np.asarray(draw_chain)
-    labels = list(dict.fromkeys(draw_chain.tolist()))
-    if len(labels) >= 2:
+    labels = chain_order(draw_chain)
+    if labels.size >= 2:
         return [np.flatnonzero(draw_chain == label) for label in labels]
     half = draw_chain.shape[0] // 2
     rows = np.arange(draw_chain.shape[0])

@@ -1,9 +1,12 @@
 """Influence diagnostics: covariance, penalties, conformal statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayeslens import (
     CovMatrix,
@@ -29,6 +32,8 @@ from bayeslens.errors import (
     ZeroPerturbation,
     ZeroTrace,
 )
+from bayeslens.influence import _block_moments, _pool
+from bayeslens.sample_store import replicate_groups
 
 TOY = [[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]]
 
@@ -369,3 +374,140 @@ class TestInfluenceReport:
     def test_degenerate_sample(self):
         with pytest.raises(DegenerateSample):
             LogLikSamples(values=[[0.0, 1.0]], draw_chain=[0], obs_ids=("a", "b"))
+
+
+def _reference_dinf(values):
+    # The per-column Jensen gap as computed before block moments existed.
+    shift = values.max(axis=0)
+    logmeanexp = shift + np.log(np.exp(values - shift).mean(axis=0))
+    out = 2.0 * (logmeanexp - values.mean(axis=0))
+    out = np.maximum(out, 0.0)
+    out[values.min(axis=0) == shift] = 0.0
+    return out
+
+
+def _reference_mcse(replicates):
+    stacked = np.stack([np.asarray(r, dtype=float) for r in replicates])
+    return stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
+
+
+def _reference_report(samples):
+    """Every MCSE field and ``p_v`` from the per-chain gather loop that
+    ``influence_report`` ran before it pooled block moments."""
+    values = samples.values
+    rep_linf, rep_dinf, rep_clinf = [], [], []
+    rep_pw, rep_pws, rep_pv, rep_ratio = [], [], [], []
+    groups = replicate_groups(samples.draw_chain)
+    for idx in groups:
+        block = values[idx]
+        block_linf = block.var(axis=0, ddof=1)
+        block_pw = float(np.sum(block_linf))
+        block_pv = 2.0 * float(block.sum(axis=1).var(ddof=1))
+        rep_linf.append(block_linf)
+        rep_dinf.append(_reference_dinf(block))
+        rep_pw.append(block_pw)
+        rep_pws.append(float(np.sum(rep_dinf[-1])))
+        rep_pv.append(block_pv)
+        if block_pw > 0.0:
+            rep_clinf.append(block_linf / block_pw)
+            rep_ratio.append(block_pv / block_pw)
+    have_ratio = len(rep_ratio) == len(groups)
+    return {
+        "linf_mcse": _reference_mcse(rep_linf),
+        "dinf_mcse": _reference_mcse(rep_dinf),
+        "clinf_mcse": _reference_mcse(rep_clinf) if have_ratio else np.full(values.shape[1], np.nan),
+        "p_w_mcse": float(_reference_mcse(rep_pw)),
+        "p_w_star_mcse": float(_reference_mcse(rep_pws)),
+        "p_v_mcse": float(_reference_mcse(rep_pv)),
+        "conflict_ratio_mcse": float(_reference_mcse(rep_ratio)) if have_ratio else math.nan,
+        "p_v": 2.0 * float(values.sum(axis=1).var(ddof=1)),
+    }
+
+
+def _spread_draws(rng, draws, n_obs):
+    """Columns on different scales, some centred hundreds of nats below zero."""
+    scale = rng.uniform(0.1, 20.0, n_obs)
+    offset = rng.uniform(-400.0, 5.0, n_obs)
+    return rng.standard_normal((draws, n_obs)) * scale + offset
+
+
+CHAIN_LAYOUTS = {
+    "equal_contiguous": np.repeat(np.arange(4), 250),
+    "unequal_contiguous": np.repeat([2, 0, 1], [150, 600, 250]),
+    "interleaved": np.tile([0, 1], 500),
+    "single_chain_halves": np.zeros(1000, dtype=int),
+}
+
+
+class TestBlockMoments:
+    @pytest.mark.parametrize("chains", CHAIN_LAYOUTS.values(), ids=CHAIN_LAYOUTS.keys())
+    def test_matches_per_chain_reference(self, chains):
+        """MCSEs and p_v are bit-identical to the gather loop; the pooled
+        point estimates agree with the one-pass full-array estimators."""
+        samples = make(_spread_draws(np.random.default_rng(31), 1000, 6), chains=chains)
+        report = influence_report(samples)
+        for field, expected in _reference_report(samples).items():
+            np.testing.assert_array_equal(getattr(report, field), expected, err_msg=field)
+        full_linf, full_dinf = linf(samples), dinf(samples)
+        np.testing.assert_allclose(report.linf, full_linf, rtol=1e-12)
+        np.testing.assert_allclose(report.clinf, full_linf / full_linf.sum(), rtol=1e-12)
+        assert report.p_w == pytest.approx(float(full_linf.sum()), rel=1e-12)
+        np.testing.assert_allclose(report.dinf, full_dinf, rtol=1e-9)
+        assert report.p_w_star == pytest.approx(float(full_dinf.sum()), rel=1e-9)
+
+    def test_one_block_is_bit_identical(self):
+        """With too few draws for replicates the whole array is one block."""
+        samples = make(_spread_draws(np.random.default_rng(32), 3, 4), chains=[0, 1, 1])
+        with pytest.warns(UserWarning, match="too few draws"):
+            report = influence_report(samples)
+        np.testing.assert_array_equal(report.linf, linf(samples))
+        np.testing.assert_array_equal(report.dinf, _reference_dinf(samples.values))
+        assert report.p_v == p_v(samples)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        draws=st.integers(2, 120),
+        n_obs=st.integers(1, 5),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+    )
+    def test_pooling_any_contiguous_split(self, seed, draws, n_obs, cuts):
+        values = _spread_draws(np.random.default_rng(seed), draws, n_obs)
+        edges = sorted({0, draws, *(int(c * draws) for c in cuts)})
+        scratch = np.empty(values.shape)
+        pooled = _pool([_block_moments(values[a:b], scratch) for a, b in zip(edges, edges[1:])])
+        whole = _block_moments(values, scratch)
+        assert pooled.count == whole.count
+        np.testing.assert_array_equal(pooled.high, whole.high)
+        np.testing.assert_array_equal(pooled.low, whole.low)
+        np.testing.assert_allclose(pooled.linf(), whole.linf(), rtol=1e-12)
+        np.testing.assert_allclose(pooled.dinf(), whole.dinf(), rtol=1e-9)
+
+    def test_column_constant_within_each_chain(self):
+        """Each chain's Jensen gap is exactly zero, but pooled over the chains
+        the column varies, so its pooled dinf is positive. (The mean of 50
+        copies of 0.1 rounds below 0.1, so only the pin zeroes chain 0.)"""
+        rng = np.random.default_rng(33)
+        chains = np.repeat(np.arange(4), 50)
+        values = rng.standard_normal((200, 3))
+        values[:, 0] = 0.1 + chains
+        samples = make(values, chains=chains)
+        report = influence_report(samples)
+        assert report.dinf_mcse[0] == 0.0
+        assert report.linf_mcse[0] <= 1e-12 * report.linf[0]
+        assert report.dinf[0] > 0.0
+        np.testing.assert_allclose(report.dinf, dinf(samples), rtol=1e-9)
+        np.testing.assert_allclose(report.linf, linf(samples), rtol=1e-12)
+
+    def test_peak_memory_below_the_draws(self):
+        """No full-size gather or temporary: with 4 contiguous chains the
+        transient peak stays under three quarters of the draw matrix."""
+        chains = np.repeat(np.arange(4), 10000)
+        samples = make(np.random.default_rng(34).standard_normal((40000, 40)), chains=chains)
+        tracemalloc.start()
+        try:
+            influence_report(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * samples.values.nbytes

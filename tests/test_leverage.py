@@ -23,6 +23,7 @@ from bayeslens.errors import (
     ZeroLeverage,
     ZeroPerturbation,
 )
+from bayeslens.leverage import _split_streams
 
 FAMILY_NAMES = ("normal_known_var", "normal", "poisson", "binomial", "gamma")
 
@@ -185,6 +186,11 @@ class TestHatValues:
         with pytest.warns(UserWarning, match="single chain"):
             hat = hat_values(pred, seed=3)
         np.testing.assert_allclose(hat.values, [0.5], rtol=1e-15)
+
+    def test_streams_split_chains_in_order_of_first_appearance(self):
+        first, second = _split_streams(np.array([2, 2, 0, 1, 1, 0, 3, 3]))
+        assert first.tolist() == [0, 1, 2, 5]
+        assert second.tolist() == [3, 4, 6, 7]
 
     def test_single_draw_stream_rejected(self):
         means = np.array([[0.0], [1.0], [2.0]])

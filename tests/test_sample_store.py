@@ -443,3 +443,11 @@ class TestReplicateGroups:
     def test_single_chain_halves(self):
         groups = replicate_groups(np.array([7, 7, 7, 7]))
         assert [g.tolist() for g in groups] == [[0, 1], [2, 3]]
+
+    def test_chains_in_order_of_first_appearance(self):
+        chains = [3, 3, 1, 9, 1, 3]
+        groups = replicate_groups(np.array(chains))
+        assert [g.tolist() for g in groups] == [[0, 1, 5], [2, 4], [3]]
+        samples = LogLikSamples(values=np.zeros((6, 1)), draw_chain=chains, obs_ids=("a",))
+        assert samples.chain_labels == [3, 1, 9]
+        assert all(type(label) is int for label in samples.chain_labels)
