@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from . import influence as influence_mod
 from . import leverage as leverage_mod
 from . import linear_oracle as oracle_mod
 from . import outliers as outliers_mod
-from .errors import DiagnosticsError
+from .errors import DiagnosticsError, InvalidParameter
 from .io_utils import dump_json, format_float, write_csv_rows
 from .sample_store import (
     check_aligned,
@@ -295,6 +296,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if hasattr(args, name):
             setattr(config, name, getattr(args, name))
     if hasattr(args, "threshold"):
+        if not math.isfinite(args.threshold):
+            # nan never flags and would be written as non-standard JSON
+            raise InvalidParameter(f"--threshold must be finite, got {args.threshold}")
         config.threshold = args.threshold
         config.strict = args.strict
         config.pv_group_factor = args.pv_group_factor == "on"

@@ -27,6 +27,9 @@ def jsonable(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if not obj.dtype.hasobject:
+            # tolist already yields Python scalars in nested lists
+            return obj.tolist()
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating,)):
         return float(obj)

@@ -141,6 +141,10 @@ def _split_streams(draw_chain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
+# Gathered params per side and block of pairs: about 1 MB.
+_PAIR_BLOCK_BYTES = 1 << 20
+
+
 def _pair_mc_kl(rng, family, params1, params2, trials, replicates):
     total = np.zeros(params1.shape[:2])
     for _ in range(replicates):
@@ -167,7 +171,9 @@ def hat_values(
     ``symmetrize`` averages both KL directions. ``force_mc`` replaces the
     closed form with the unbiased replicate estimator (``mc_replicates``
     outcomes per pair), whose pair averages may dip below zero; negative
-    hat-values are floored at zero and counted.
+    hat-values are floored at zero and counted. The pairs are evaluated in
+    blocks of rows, and the replicate outcomes are drawn block by block, so
+    the Monte Carlo values for a seed depend on the block size.
     """
     idx1, idx2 = _split_streams(pred.draw_chain)
     n_pairs = min(idx1.shape[0], idx2.shape[0])
@@ -176,16 +182,22 @@ def hat_values(
     rng = np.random.default_rng(seed)
     rows1 = idx1[rng.permutation(idx1.shape[0])][:n_pairs]
     rows2 = idx2[rng.permutation(idx2.shape[0])][:n_pairs]
-    params1 = pred.params[rows1]
-    params2 = pred.params[rows2]
     # the draws were checked when ``pred`` was built, so no pair is re-checked
     family = FAMILIES[pred.family]
     kl = family.kl
     if force_mc:
         kl = partial(_pair_mc_kl, rng, family, replicates=mc_replicates)
-    pair_values = kl(params1, params2, pred.trials)
-    if symmetrize:
-        pair_values = (pair_values + kl(params2, params1, pred.trials)) / 2.0
+    # Pairs are gathered a block at a time, so no permuted copy of the whole
+    # params array is made. The KL is elementwise: blocking leaves its bits.
+    block = max(1, _PAIR_BLOCK_BYTES // pred.params[0].nbytes)
+    pair_values = np.empty((n_pairs, pred.n_obs))
+    for start in range(0, n_pairs, block):
+        params1 = pred.params[rows1[start:start + block]]
+        params2 = pred.params[rows2[start:start + block]]
+        values = kl(params1, params2, pred.trials)
+        if symmetrize:
+            values = (values + kl(params2, params1, pred.trials)) / 2.0
+        pair_values[start:start + block] = values
 
     raw = pair_values.mean(axis=0)
     mcse = pair_values.std(axis=0, ddof=1) / math.sqrt(n_pairs)

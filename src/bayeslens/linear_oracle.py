@@ -270,9 +270,13 @@ def exact_sampler(
     params = np.empty((draws, spec.n_obs, 2))
     params[:, :, 0] = thetas @ spec.design.T
     params[:, :, 1] = sigma2
-    loglik = -0.5 * np.log(2.0 * np.pi * sigma2) - (
-        spec.outcomes - params[:, :, 0]
-    ) ** 2 / (2.0 * sigma2)
+    params.setflags(write=False)
+    # c - (y - mean)**2 / (2 sigma2), one operation at a time in one array
+    loglik = spec.outcomes - params[:, :, 0]
+    loglik **= 2
+    loglik /= 2.0 * sigma2
+    np.subtract(-0.5 * np.log(2.0 * np.pi * sigma2), loglik, out=loglik)
+    loglik.setflags(write=False)
 
     base, extra = divmod(draws, chains)
     sizes = [base + (1 if c < extra else 0) for c in range(chains)]
@@ -280,9 +284,8 @@ def exact_sampler(
 
     width = len(str(spec.n_obs))
     obs_ids = tuple(f"obs{i + 1:0{width}d}" for i in range(spec.n_obs))
-    # the containers copy their inputs: release loglik once it is copied
+    # both arrays are read-only, so the containers take them without a copy
     samples = LogLikSamples(values=loglik, draw_chain=draw_chain, obs_ids=obs_ids)
-    del loglik
     pred = PredictiveDraws(
         family="normal_known_var",
         params=params,

@@ -5,13 +5,15 @@ whose header row names the observations and whose subsequent rows each hold
 one posterior draw; chain structure arrives in a companion JSON file.
 Predictive-distribution draws use the same row order with columns named
 ``<obs_id>.<param>``. All containers are immutable after construction and
-safe to share across threads.
+safe to share across threads: they keep a float64 array that nothing can
+write to as it is, and copy any other input.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -70,6 +72,25 @@ def _chain_array(draw_chain, n_draws: int) -> np.ndarray:
     return labels
 
 
+def _frozen_float_array(values) -> np.ndarray:
+    """``values`` as a read-only float64 array, shared when nothing can write to it.
+
+    A read-only float64 ndarray whose bases are read-only arrays too is kept
+    without a copy; any other input is copied, so the caller's array can
+    change afterwards without changing the container.
+    """
+    if type(values) is np.ndarray and values.dtype == np.float64:
+        base = values
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        # a writable array, or a foreign buffer (bytes, mmap), ends the walk
+        if base is None:
+            return values
+    values = np.array(values, dtype=float)
+    values.setflags(write=False)
+    return values
+
+
 def _validate_obs_ids(obs_ids) -> tuple[str, ...]:
     ids = tuple(str(i) for i in obs_ids)
     if len(set(ids)) != len(ids):
@@ -87,7 +108,7 @@ class LogLikSamples:
     obs_ids: tuple[str, ...]
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = _frozen_float_array(self.values)
         if values.ndim != 2:
             raise InvalidParameter("values must be a 2-d (draws x observations) array")
         n_draws, n_obs = values.shape
@@ -105,7 +126,6 @@ class LogLikSamples:
         if len(obs_ids) != n_obs:
             raise MalformedCsv(f"got {len(obs_ids)} obs ids for {n_obs} columns")
         draw_chain = _chain_array(self.draw_chain, n_draws)
-        values.setflags(write=False)
         draw_chain.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "draw_chain", draw_chain)
@@ -163,7 +183,7 @@ class PredictiveDraws:
 
     def __post_init__(self):
         names = lookup(self.family, FamilyMismatch).params
-        params = np.array(self.params, dtype=float)
+        params = _frozen_float_array(self.params)
         if params.ndim != 3 or params.shape[2] != len(names):
             raise InvalidParameter(
                 f"params must have shape (draws, observations, "
@@ -185,7 +205,6 @@ class PredictiveDraws:
                 raise InvalidParameter("trials must hold one count per observation")
             trials.setflags(write=False)
         check_params(self.family, params, trials)
-        params.setflags(write=False)
         draw_chain.setflags(write=False)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "draw_chain", draw_chain)
@@ -225,6 +244,17 @@ class GroupMap:
     def __post_init__(self):
         if not self.assignment:
             raise UncoveredObsId("group map is empty")
+        # a label is a string or a number; str() would make null, true or a
+        # list into groups named "None", "True" or "[1, 2]"
+        unlabelled = sorted(
+            str(obs)
+            for obs, label in self.assignment.items()
+            if not isinstance(label, (str, numbers.Real)) or isinstance(label, bool)
+        )
+        if unlabelled:
+            raise UncoveredObsId(
+                f"group labels must be strings or numbers; not for {unlabelled}"
+            )
         object.__setattr__(
             self, "assignment", {str(k): str(v) for k, v in self.assignment.items()}
         )
@@ -272,8 +302,10 @@ def aggregate(samples: LogLikSamples, groups: GroupMap) -> LogLikSamples:
     columns = [
         samples.values[:, idx].sum(axis=1) for idx in members.values()
     ]
+    values = np.column_stack(columns)
+    values.setflags(write=False)
     return LogLikSamples(
-        values=np.column_stack(columns),
+        values=values,
         draw_chain=samples.draw_chain,
         obs_ids=tuple(members),
     )
@@ -284,7 +316,7 @@ def aggregate(samples: LogLikSamples, groups: GroupMap) -> LogLikSamples:
 # ---------------------------------------------------------------------------
 
 def _read_csv_table(path: str | os.PathLike) -> tuple[list[str], np.ndarray]:
-    """Read a draws CSV: header row of column names, float data rows.
+    """Read a draws CSV: header row of column names, float data rows (read-only).
 
     The data rows go through numpy's C parser. Its result is kept only when
     it is one the validating parser would return as well; any other file is
@@ -311,8 +343,11 @@ def _read_csv_table(path: str | os.PathLike) -> tuple[list[str], np.ndarray]:
                     and values.shape[1] == len(header)
                     and np.isfinite(values).all()
                 ):
+                    values.setflags(write=False)
                     return header, values
-    return _read_csv_table_checked(path)
+    header, values = _read_csv_table_checked(path)
+    values.setflags(write=False)
+    return header, values
 
 
 def _read_csv_table_checked(path: str | os.PathLike) -> tuple[list[str], np.ndarray]:
@@ -438,7 +473,11 @@ def load_predictive(
     order = tuple(columns)
 
     idx = [found[param] for found in columns.values() for param in param_names]
-    params = table[:, idx].reshape(table.shape[0], len(order), len(param_names))
+    if idx != list(range(len(header))):
+        # ``take`` gives a C-ordered copy, which the reshape below only views
+        table = table.take(idx, axis=1)
+        table.setflags(write=False)
+    params = table.reshape(table.shape[0], len(order), len(param_names))
 
     trials = None
     if spec.takes_trials:

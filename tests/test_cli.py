@@ -125,7 +125,11 @@ class TestInfluenceCommand:
 
     @pytest.mark.parametrize(
         "group_map, error",
-        [("{bad", "UncoveredObsId"), ('{"a": "g", "zz": "g"}', "UnknownObsId")],
+        [("{bad", "UncoveredObsId"), ('{"a": "g", "zz": "g"}', "UnknownObsId"),
+         ('{"a": null, "b": "g"}', "UncoveredObsId"),
+         ('{"a": true, "b": "g"}', "UncoveredObsId"),
+         ('{"a": [1, 2], "b": "g"}', "UncoveredObsId"),
+         ('{"a": {"g": 1}, "b": "g"}', "UncoveredObsId")],
     )
     def test_bad_group_map_fails_closed(self, tmp_path, capsys, group_map, error):
         """A bad group map exits 1 with one JSON error line and writes nothing."""
@@ -141,6 +145,22 @@ class TestInfluenceCommand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["influence", "conflict"])
+    def test_non_finite_threshold_fails_closed(self, tmp_path, capsys, command, threshold):
+        """A threshold that is not finite exits 1 and writes nothing."""
+        loglik, meta = write_toy(tmp_path)
+        groups = tmp_path / "groups.json"
+        groups.write_text('{"a": "g", "b": "g"}')
+        out = tmp_path / "out"
+        code = main(
+            [command, "--loglik", str(loglik), "--meta", str(meta),
+             "--groups", str(groups), f"--threshold={threshold}", "--out", str(out)]
+        )
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidParameter")
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -23,6 +23,8 @@ from bayeslens.errors import (
     ZeroLeverage,
     ZeroPerturbation,
 )
+from bayeslens import leverage
+from bayeslens.families import FAMILIES
 from bayeslens.leverage import _split_streams
 
 FAMILY_NAMES = ("normal_known_var", "normal", "poisson", "binomial", "gamma")
@@ -279,6 +281,57 @@ class TestHatValues:
         )
         hat = hat_values(pred, seed=11)
         assert np.all(hat.values >= 0.0)
+
+
+def one_shot_pairs(pred, seed, symmetrize):
+    """Pair values from full permuted copies of the params, all pairs at once."""
+    rng = np.random.default_rng(seed)
+    idx1, idx2 = _split_streams(pred.draw_chain)
+    n_pairs = min(idx1.size, idx2.size)
+    params1 = pred.params[idx1[rng.permutation(idx1.size)][:n_pairs]]
+    params2 = pred.params[idx2[rng.permutation(idx2.size)][:n_pairs]]
+    kl = FAMILIES[pred.family].kl
+    pair_values = kl(params1, params2, pred.trials)
+    if symmetrize:
+        pair_values = (pair_values + kl(params2, params1, pred.trials)) / 2.0
+    return pair_values
+
+
+class TestBlockedPairing:
+    """Blocked pairing gives the bits of the one-shot formula."""
+
+    def check_bit_identical(self, pred, symmetrize):
+        hat = hat_values(pred, seed=13, symmetrize=symmetrize)
+        pair_values = one_shot_pairs(pred, 13, symmetrize)
+        n_pairs = pair_values.shape[0]
+        assert hat.n_pairs == n_pairs
+        np.testing.assert_array_equal(hat.values, np.maximum(pair_values.mean(axis=0), 0.0))
+        np.testing.assert_array_equal(
+            hat.mcse, pair_values.std(axis=0, ddof=1) / math.sqrt(n_pairs)
+        )
+        assert hat.p_d_star_mcse == float(
+            pair_values.sum(axis=1).std(ddof=1) / math.sqrt(n_pairs)
+        )
+        np.testing.assert_array_equal(hat.negative_pairs, (pair_values < 0.0).sum(axis=0))
+
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    # blocks of 4 pairs: one block, and one below, at and one above the
+    # boundary between the second and a third block
+    @pytest.mark.parametrize("n_pairs", [3, 7, 8, 9])
+    def test_small_blocks(self, random_predictive, monkeypatch, family, symmetrize, n_pairs):
+        pred = random_predictive(family, np.random.default_rng(n_pairs), 2 * n_pairs, 3)
+        monkeypatch.setattr(leverage, "_PAIR_BLOCK_BYTES", 4 * pred.params[0].nbytes)
+        self.check_bit_identical(pred, symmetrize)
+
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_default_block_size(self, random_predictive, family, symmetrize):
+        """One pair more than the default block holds."""
+        n_obs, k = 3, len(FAMILIES[family].params)
+        block = leverage._PAIR_BLOCK_BYTES // (n_obs * k * 8)
+        pred = random_predictive(family, np.random.default_rng(14), 2 * (block + 1), n_obs)
+        self.check_bit_identical(pred, symmetrize)
 
 
 class TestDomainChecks:

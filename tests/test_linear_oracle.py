@@ -283,8 +283,9 @@ class TestExactSampler:
         with pytest.raises(DegenerateSample):
             exact_sampler(spec, draws=5, chains=3, seed=1)
 
-    def test_peak_memory_within_twice_the_output(self):
-        """Each draw-sized array is built once: no stacked or filled copies."""
+    def test_peak_memory_near_the_output(self):
+        """Each draw-sized array is built once and handed to its container
+        without a copy: no stacked, filled or container-side copies."""
         spec = random_spec(np.random.default_rng(67), n_obs=40, n_params=3)
         tracemalloc.start()
         try:
@@ -292,7 +293,7 @@ class TestExactSampler:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0 * (samples.values.nbytes + pred.params.nbytes)
+        assert peak <= 1.25 * (samples.values.nbytes + pred.params.nbytes)
 
     def test_hat_values_pipeline(self):
         spec = intercept_spec((0.0, 1.0, 2.0, 3.0, 4.0))

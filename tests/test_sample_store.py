@@ -1,5 +1,7 @@
 """Ingestion, validation, and group-aggregation tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -330,6 +332,91 @@ class TestContainerErrors:
     def test_values_must_be_two_dimensional(self):
         with pytest.raises(InvalidParameter, match="2-d"):
             LogLikSamples(values=np.zeros(4), draw_chain=[0, 0, 1, 1], obs_ids="abcd")
+
+
+def contain(kind, array):
+    """The array a container keeps for ``array``: log-likelihood values or params."""
+    if kind == "loglik":
+        return LogLikSamples(values=array, draw_chain=[0, 0, 1, 1], obs_ids="ab").values
+    return PredictiveDraws(
+        family="poisson", params=array, draw_chain=[0, 0, 1, 1], obs_ids="ab"
+    ).params
+
+
+@pytest.mark.parametrize("kind", ["loglik", "predictive"])
+class TestOwnership:
+    """A container shares only an array that nothing can write to."""
+
+    def fresh(self, kind):
+        shape = (4, 2) if kind == "loglik" else (4, 2, 1)
+        return np.random.default_rng(5).uniform(0.5, 2.0, shape)
+
+    def test_writable_input_is_copied(self, kind):
+        array = self.fresh(kind)
+        kept = contain(kind, array)
+        before = kept.copy()
+        array[...] = 7.0
+        np.testing.assert_array_equal(kept, before)
+        assert not kept.flags.writeable
+
+    def test_read_only_input_is_shared(self, kind):
+        array = self.fresh(kind)
+        array.setflags(write=False)
+        assert np.shares_memory(contain(kind, array), array)
+
+    def test_read_only_view_of_writable_base_is_copied(self, kind):
+        base = self.fresh(kind)
+        view = base[:]
+        view.setflags(write=False)
+        kept = contain(kind, view)
+        assert not np.shares_memory(kept, base)
+        base[...] = 7.0
+        assert not np.any(kept == 7.0)
+
+    def test_read_only_float32_is_converted(self, kind):
+        array = self.fresh(kind).astype(np.float32)
+        array.setflags(write=False)
+        kept = contain(kind, array)
+        assert kept.dtype == np.float64
+        np.testing.assert_array_equal(kept, array)
+
+
+def traced_peak(load):
+    """``load()`` and the peak of traced memory while it ran."""
+    tracemalloc.start()
+    try:
+        result = load()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLoaderMemory:
+    """The loaders hand the parsed table to the container: no gathered or kept copy."""
+
+    def test_load_samples_peak(self, tmp_path):
+        samples = LogLikSamples(
+            values=np.random.default_rng(9).standard_normal((8000, 40)),
+            draw_chain=np.repeat(np.arange(4), 2000),
+            obs_ids=tuple(f"o{i}" for i in range(40)),
+        )
+        write_loglik_csv(samples, tmp_path / "loglik.csv")
+        write_metadata_json(samples, tmp_path / "meta.json")
+        loaded, peak = traced_peak(
+            lambda: load_samples(tmp_path / "loglik.csv", tmp_path / "meta.json")
+        )
+        np.testing.assert_array_equal(loaded.values, samples.values)
+        assert peak <= 1.5 * loaded.values.nbytes
+
+    def test_load_predictive_peak(self, tmp_path, random_predictive):
+        pred = random_predictive("normal", np.random.default_rng(10), 8000, 40)
+        write_predictive_csv(pred, tmp_path / "pred.csv")
+        write_metadata_json(pred, tmp_path / "meta.json")
+        loaded, peak = traced_peak(
+            lambda: load_predictive(tmp_path / "pred.csv", tmp_path / "meta.json")
+        )
+        np.testing.assert_array_equal(loaded.params, pred.params)
+        assert peak <= 1.5 * loaded.params.nbytes
 
 
 class TestPredictiveDraws:
