@@ -32,7 +32,6 @@ from .linear_oracle import (
     fit,
     plant_anomalies,
     random_spec,
-    sandwich_identity_check,
 )
 from .outliers import (
     OutlierDecomposition,
@@ -89,7 +88,6 @@ __all__ = [
     "p_v",
     "plant_anomalies",
     "random_spec",
-    "sandwich_identity_check",
     "scree",
     "symmetric_eigendecomposition",
     "truncated_clout",

@@ -1,10 +1,12 @@
 """Command-line front end: ingestion -> diagnostics -> plot-ready tables.
 
 Subcommands: influence, leverage, outliers, conflict (influence with a
-required group map), oracle, simulate. All randomness flows from one seed
-(default 42), so identical inputs and flags yield byte-identical output
-files. Exit codes: 0 success, 1 input or validation error, 2 when the
-prior-data conflict flag fires under --strict.
+required group map), oracle, simulate. The handlers here define the CSV and
+JSON format of every artifact; the library's result objects are plain data.
+All randomness flows from one seed (default 42), so identical inputs and
+flags yield byte-identical output files; each file is written whole or not
+at all. Exit codes: 0 success, 1 input, validation or usage error (one JSON
+line on stderr), 2 when the prior-data conflict flag fires under --strict.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,29 +38,6 @@ from .sample_store import (
 DEFAULT_SEED = 42
 
 
-@dataclass
-class RunConfig:
-    """Validated per-invocation configuration."""
-
-    command: str
-    out_dir: str
-    seed: int = DEFAULT_SEED
-    loglik: str | None = None
-    meta: str | None = None
-    pred: str | None = None
-    groups: str | None = None
-    spec: str | None = None
-    demo: bool = False
-    draws: int = 4000
-    chains: int = 4
-    trunc_rank: int | None = None
-    pv_group_factor: bool = True
-    kl_symmetrize: bool = False
-    threshold: float = 3.0
-    strict: bool = False
-    plant: dict = field(default_factory=dict)
-
-
 def _fail(exc: Exception) -> int:
     code = exc.code if isinstance(exc, DiagnosticsError) else type(exc).__name__
     sys.stderr.write(
@@ -68,147 +46,219 @@ def _fail(exc: Exception) -> int:
     return 1
 
 
-def _out_path(config: RunConfig, name: str) -> str:
-    os.makedirs(config.out_dir, exist_ok=True)
-    return os.path.join(config.out_dir, name)
+def _out_path(args: argparse.Namespace, name: str) -> str:
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
-def _write_group_conflict(config: RunConfig, result) -> None:
-    header = ["group", "p_v", "p_w", "ratio", "flagged"]
-    flagged = set(result.flagged(config.threshold))
-    rows = (
-        [
-            label,
-            format_float(result.p_v[i]),
-            format_float(result.p_w[i]),
-            format_float(result.ratio[i]),
-            str(label in flagged).lower(),
-        ]
-        for i, label in enumerate(result.group_labels)
+def _fields(result, *names: str) -> dict:
+    return {name: getattr(result, name) for name in names}
+
+
+def _write_influence_report(args: argparse.Namespace, report) -> None:
+    columns = _fields(
+        report, "linf", "linf_mcse", "dinf", "dinf_mcse", "clinf", "clinf_mcse"
     )
-    write_csv_rows(_out_path(config, "group_conflict.csv"), header, rows)
+    write_csv_rows(
+        _out_path(args, "influence_report.csv"),
+        ["obs_id", *columns],
+        "%s" + ",%.17g" * len(columns),
+        zip(report.obs_ids, *columns.values()),
+    )
+    totals = _fields(
+        report, "p_w", "p_w_mcse", "p_w_star", "p_w_star_mcse", "p_v", "p_v_mcse",
+        "conflict_ratio", "conflict_ratio_mcse", "conflict_threshold", "flagged",
+        "n_draws", "n_chains",
+    )
     dump_json(
-        _out_path(config, "group_conflict.json"),
+        _out_path(args, "influence_report.json"),
+        {"per_observation": {"obs_ids": report.obs_ids, **columns}, "totals": totals},
+    )
+
+
+def _write_group_conflict(args: argparse.Namespace, result) -> None:
+    flagged = set(result.flagged(args.threshold))
+    write_csv_rows(
+        _out_path(args, "group_conflict.csv"),
+        ["group", "p_v", "p_w", "ratio", "flagged"],
+        "%s,%.17g,%.17g,%.17g,%s",
+        zip(result.group_labels, result.p_v, result.p_w, result.ratio,
+            [str(label in flagged).lower() for label in result.group_labels]),
+    )
+    dump_json(
+        _out_path(args, "group_conflict.json"),
         {
-            "group_labels": list(result.group_labels),
-            "p_v": result.p_v,
-            "p_w": result.p_w,
-            "ratio": result.ratio,
-            "zero_trace_groups": list(result.zero_trace),
+            **_fields(result, "group_labels", "p_v", "p_w", "ratio", "factor_two"),
+            "zero_trace_groups": result.zero_trace,
             "flagged_groups": sorted(flagged),
-            "factor_two": result.factor_two,
-            "threshold": config.threshold,
+            "threshold": args.threshold,
         },
     )
 
 
-def cmd_influence(config: RunConfig) -> int:
-    samples = load_samples(config.loglik, config.meta)
+def cmd_influence(args: argparse.Namespace) -> int:
+    samples = load_samples(args.loglik, args.meta)
     # every input is read and checked before the first artifact is written
     result = None
-    if config.groups is not None:
-        groups = load_group_map(config.groups)
+    if args.groups is not None:
+        groups = load_group_map(args.groups)
         result = influence_mod.cross_conflict(
-            samples, groups, factor_two=config.pv_group_factor
+            samples, groups, factor_two=args.pv_group_factor == "on"
         )
     report = influence_mod.influence_report(
-        samples, conflict_threshold=config.threshold
+        samples, conflict_threshold=args.threshold
     )
-    report.write_csv(_out_path(config, "influence_report.csv"))
-    report.write_json(_out_path(config, "influence_report.json"))
+    _write_influence_report(args, report)
     print("wrote influence_report.csv, influence_report.json")
     flagged = report.flagged
     if result is not None:
-        _write_group_conflict(config, result)
+        _write_group_conflict(args, result)
         print("wrote group_conflict.csv, group_conflict.json")
-        flagged = flagged or bool(result.flagged(config.threshold))
+        flagged = flagged or bool(result.flagged(args.threshold))
     print(
         f"p_w={format_float(report.p_w)} p_v={format_float(report.p_v)} "
         f"ratio={format_float(report.conflict_ratio)} flagged={report.flagged}"
     )
-    if config.strict and flagged:
+    if args.strict and flagged:
         return 2
     return 0
 
 
-def cmd_leverage(config: RunConfig) -> int:
-    pred = load_predictive(config.pred, config.meta)
-    hat = leverage_mod.hat_values(
-        pred, seed=config.seed, symmetrize=config.kl_symmetrize
+def cmd_leverage(args: argparse.Namespace) -> int:
+    pred = load_predictive(args.pred, args.meta)
+    hat = leverage_mod.hat_values(pred, seed=args.seed, symmetrize=args.kl_symmetrize)
+    write_csv_rows(
+        _out_path(args, "hat_values.csv"),
+        ["obs_id", "hat_value", "mcse", "cllev"],
+        "%s,%.17g,%.17g,%.17g",
+        zip(hat.obs_ids, hat.values, hat.mcse, hat.cllev),
     )
-    hat.write_csv(_out_path(config, "hat_values.csv"))
-    hat.write_json(_out_path(config, "hat_values.json"))
+    dump_json(
+        _out_path(args, "hat_values.json"),
+        {
+            "hat_values": hat.values,
+            **_fields(hat, "obs_ids", "mcse", "cllev", "p_d_star", "p_d_star_mcse",
+                      "n_pairs", "negative_pairs"),
+        },
+    )
     print("wrote hat_values.csv, hat_values.json")
     print(f"p_d_star={format_float(hat.p_d_star)}")
     return 0
 
 
-def cmd_outliers(config: RunConfig) -> int:
-    samples = load_samples(config.loglik, config.meta)
-    pred = load_predictive(config.pred, config.meta)
+def cmd_outliers(args: argparse.Namespace) -> int:
+    samples = load_samples(args.loglik, args.meta)
+    pred = load_predictive(args.pred, args.meta)
     check_aligned(samples, pred)
     cov = influence_mod.loglik_covariance(samples)
-    hat = leverage_mod.hat_values(
-        pred, seed=config.seed, symmetrize=config.kl_symmetrize
-    )
+    hat = leverage_mod.hat_values(pred, seed=args.seed, symmetrize=args.kl_symmetrize)
     decomposition = outliers_mod.outlier_matrix(cov, hat)
-    rank = config.trunc_rank if config.trunc_rank is not None else decomposition.n_obs
+    rank = args.trunc_rank if args.trunc_rank is not None else decomposition.n_obs
     truncated = outliers_mod.truncated_clout(decomposition, rank)
-    outliers_mod.write_clout_csv(
-        decomposition, _out_path(config, "clout.csv"), truncated
+    write_csv_rows(
+        _out_path(args, "clout.csv"),
+        ["obs_id", "clout", "clout_truncated"],
+        "%s,%.17g,%.17g",
+        zip(decomposition.obs_ids, decomposition.clout, truncated),
     )
-    outliers_mod.write_scree_csv(decomposition, _out_path(config, "scree.csv"))
-    payload = decomposition.to_dict()
-    payload["truncation_rank"] = rank
-    payload["clout_truncated"] = truncated
-    dump_json(_out_path(config, "eigen.json"), payload)
+    write_csv_rows(
+        _out_path(args, "scree.csv"),
+        ["rank", "eigenvalue", "cumulative_share"],
+        "%d,%.17g,%.17g",
+        outliers_mod.scree(decomposition),
+    )
+    dump_json(
+        _out_path(args, "eigen.json"),
+        {
+            **_fields(decomposition, "obs_ids", "clout", "eigenvalues", "eigenvectors"),
+            "truncation_rank": rank,
+            "clout_truncated": truncated,
+        },
+    )
     print("wrote clout.csv, scree.csv, eigen.json")
     return 0
 
 
-def cmd_oracle(config: RunConfig) -> int:
-    spec = oracle_mod.load_spec_json(config.spec)
+def cmd_oracle(args: argparse.Namespace) -> int:
+    spec = oracle_mod.load_spec_json(args.spec)
     diagnostics = oracle_mod.fit(spec)
-    payload = diagnostics.to_dict()
+    columns = _fields(
+        diagnostics, "hat_diag", "residuals", "linf", "dinf", "zinf", "cook"
+    )
+    payload = {
+        **columns,
+        **_fields(diagnostics, "theta_bar", "theta_hat", "p_d", "p_w", "p_v",
+                  "sandwich", "noise_variance"),
+    }
     if diagnostics.theta_hat is not None:
         lhs, rhs = diagnostics.sandwich_identity()
         payload["sandwich_check"] = {"lhs": lhs, "rhs": rhs}
-    dump_json(_out_path(config, "linear_diagnostics.json"), payload)
-    diagnostics.write_csv(_out_path(config, "linear_diagnostics.csv"))
+    dump_json(_out_path(args, "linear_diagnostics.json"), payload)
+    write_csv_rows(
+        _out_path(args, "linear_diagnostics.csv"),
+        ["index", "hat_value", "residual", "linf", "dinf", "zinf", "cook"],
+        "%d" + ",%.17g" * len(columns),
+        zip(range(1, spec.n_obs + 1), *columns.values()),
+    )
     print("wrote linear_diagnostics.json, linear_diagnostics.csv")
     print(f"p_d={format_float(diagnostics.p_d)} p_w={format_float(diagnostics.p_w)} "
           f"p_v={format_float(diagnostics.p_v)}")
     return 0
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    if config.demo:
-        rng = np.random.default_rng(config.seed)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    planted = args.outlier_idx is not None
+    if planted != (args.leverage_idx is not None):
+        raise DiagnosticsError("planting needs both --outlier-idx and --leverage-idx")
+    if args.demo:
+        rng = np.random.default_rng(args.seed)
         spec = oracle_mod.random_spec(rng, n_obs=40, n_params=3)
     else:
-        spec = oracle_mod.load_spec_json(config.spec)
-    plant = config.plant
-    if plant:
+        spec = oracle_mod.load_spec_json(args.spec)
+    if planted:
         spec = oracle_mod.plant_anomalies(
             spec,
-            outlier_idx=plant["outlier_idx"],
-            outlier_scale=plant["outlier_scale"],
-            leverage_idx=plant["leverage_idx"],
-            leverage_shift=plant["leverage_shift"],
+            outlier_idx=args.outlier_idx,
+            outlier_scale=args.outlier_scale,
+            leverage_idx=args.leverage_idx,
+            leverage_shift=args.leverage_shift,
         )
     samples, pred = oracle_mod.exact_sampler(
-        spec, draws=config.draws, chains=config.chains, seed=config.seed
+        spec, draws=args.draws, chains=args.chains, seed=args.seed
     )
-    write_loglik_csv(samples, _out_path(config, "loglik.csv"))
-    write_metadata_json(pred, _out_path(config, "metadata.json"))
-    write_predictive_csv(pred, _out_path(config, "predictive.csv"))
-    oracle_mod.write_spec_json(spec, _out_path(config, "spec_used.json"))
+    write_loglik_csv(samples, _out_path(args, "loglik.csv"))
+    write_metadata_json(pred, _out_path(args, "metadata.json"))
+    write_predictive_csv(pred, _out_path(args, "predictive.csv"))
+    oracle_mod.write_spec_json(spec, _out_path(args, "spec_used.json"))
     print("wrote loglik.csv, metadata.json, predictive.csv, spec_used.json")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ``InvalidParameter``, so that it exits 1 with
+    one JSON line like any other bad input; subparsers share the class."""
+
+    def error(self, message):
+        raise InvalidParameter(message)
+
+
+def _checked(convert, valid, what: str):
+    """An argparse ``type``: ``convert(text)``, refused unless ``valid``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bayeslens",
         description=(
             "Influence, leverage, outlier, and prior-data-conflict diagnostics "
@@ -221,33 +271,39 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (created if absent)")
         p.add_argument(
             "--seed",
-            type=int,
+            type=_checked(int, lambda seed: seed >= 0, "a non-negative integer"),
             default=DEFAULT_SEED,
             help=f"seed for all randomness (default {DEFAULT_SEED})",
         )
 
-    p_inf = sub.add_parser("influence", help="per-observation influence and penalties")
-    p_inf.add_argument("--loglik", required=True, help="log-likelihood draws CSV")
-    p_inf.add_argument("--meta", required=True, help="chain metadata JSON")
-    p_inf.add_argument("--groups", help="group map JSON for cross-conflict")
-    p_inf.add_argument("--threshold", type=float, default=3.0, help="conflict flag level")
-    p_inf.add_argument("--strict", action="store_true", help="exit 2 when flagged")
-    p_inf.add_argument(
-        "--pv-group-factor",
-        choices=("on", "off"),
-        default="on",
-        help="keep the calibration factor 2 in per-group p_v",
-    )
-    add_common(p_inf)
-
-    p_con = sub.add_parser("conflict", help="influence with a required group map")
-    p_con.add_argument("--loglik", required=True)
-    p_con.add_argument("--meta", required=True)
-    p_con.add_argument("--groups", required=True)
-    p_con.add_argument("--threshold", type=float, default=3.0)
-    p_con.add_argument("--strict", action="store_true")
-    p_con.add_argument("--pv-group-factor", choices=("on", "off"), default="on")
-    add_common(p_con)
+    for command, help_text in (
+        ("influence", "per-observation influence and penalties"),
+        ("conflict", "influence with a required group map"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--loglik", required=True, help="log-likelihood draws CSV")
+        p.add_argument("--meta", required=True, help="chain metadata JSON")
+        p.add_argument(
+            "--groups",
+            required=command == "conflict",
+            help="group map JSON for cross-conflict",
+        )
+        p.add_argument(
+            "--threshold",
+            # nan never flags and would be written as non-standard JSON
+            type=_checked(float, math.isfinite, "a finite number"),
+            default=3.0,
+            help="conflict flag level",
+        )
+        p.add_argument("--strict", action="store_true", help="exit 2 when flagged")
+        p.add_argument(
+            "--pv-group-factor",
+            choices=("on", "off"),
+            default="on",
+            help="keep the calibration factor 2 in per-group p_v",
+        )
+        p.set_defaults(handler=cmd_influence)
+        add_common(p)
 
     p_lev = sub.add_parser("leverage", help="Bayesian hat-values from predictive draws")
     p_lev.add_argument("--pred", required=True, help="predictive draws CSV")
@@ -255,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lev.add_argument(
         "--kl-symmetrize", action="store_true", help="average both KL directions"
     )
+    p_lev.set_defaults(handler=cmd_leverage)
     add_common(p_lev)
 
     p_out = sub.add_parser("outliers", help="outlier matrix, CLOUT, scree table")
@@ -263,10 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_out.add_argument("--pred", required=True)
     p_out.add_argument("--trunc-rank", type=int, help="eigenvalue truncation rank")
     p_out.add_argument("--kl-symmetrize", action="store_true")
+    p_out.set_defaults(handler=cmd_outliers)
     add_common(p_out)
 
     p_ora = sub.add_parser("oracle", help="closed-form conjugate linear diagnostics")
     p_ora.add_argument("--spec", required=True, help="model spec JSON (X, y, sigma2, Psi)")
+    p_ora.set_defaults(handler=cmd_oracle)
     add_common(p_ora)
 
     p_sim = sub.add_parser("simulate", help="emit an exact-sampler test corpus")
@@ -281,69 +340,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--outlier-scale", type=float, default=8.0)
     p_sim.add_argument("--leverage-idx", type=int, help="plant a leverage point here")
     p_sim.add_argument("--leverage-shift", type=float, default=5.0)
+    p_sim.set_defaults(handler=cmd_simulate)
     add_common(p_sim)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(
-        command=args.command,
-        out_dir=args.out,
-        seed=args.seed,
-    )
-    for name in ("loglik", "meta", "pred", "groups", "spec"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    if hasattr(args, "threshold"):
-        if not math.isfinite(args.threshold):
-            # nan never flags and would be written as non-standard JSON
-            raise InvalidParameter(f"--threshold must be finite, got {args.threshold}")
-        config.threshold = args.threshold
-        config.strict = args.strict
-        config.pv_group_factor = args.pv_group_factor == "on"
-    if hasattr(args, "kl_symmetrize"):
-        config.kl_symmetrize = args.kl_symmetrize
-    if hasattr(args, "trunc_rank"):
-        config.trunc_rank = args.trunc_rank
-    if args.command == "simulate":
-        config.demo = args.demo
-        config.draws = args.draws
-        config.chains = args.chains
-        planted = args.outlier_idx is not None or args.leverage_idx is not None
-        if planted:
-            if args.outlier_idx is None or args.leverage_idx is None:
-                raise DiagnosticsError(
-                    "planting needs both --outlier-idx and --leverage-idx"
-                )
-            config.plant = {
-                "outlier_idx": args.outlier_idx,
-                "outlier_scale": args.outlier_scale,
-                "leverage_idx": args.leverage_idx,
-                "leverage_shift": args.leverage_shift,
-            }
-    return config
-
-
-_HANDLERS = {
-    "influence": cmd_influence,
-    "conflict": cmd_influence,
-    "leverage": cmd_leverage,
-    "outliers": cmd_outliers,
-    "oracle": cmd_oracle,
-    "simulate": cmd_simulate,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _HANDLERS[args.command](config)
-    except DiagnosticsError as exc:
-        return _fail(exc)
-    except OSError as exc:
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
+    except (DiagnosticsError, OSError) as exc:
         return _fail(exc)
 
 

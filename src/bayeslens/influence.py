@@ -28,7 +28,6 @@ from .errors import (
     ZeroPerturbation,
     ZeroTrace,
 )
-from .io_utils import dump_json, format_float, write_csv_rows
 from .sample_store import (
     GroupMap,
     LogLikSamples,
@@ -320,53 +319,6 @@ class InfluenceReport:
     flagged: bool
     n_draws: int
     n_chains: int
-
-    def totals_dict(self) -> dict:
-        return {
-            "p_w": self.p_w,
-            "p_w_mcse": self.p_w_mcse,
-            "p_w_star": self.p_w_star,
-            "p_w_star_mcse": self.p_w_star_mcse,
-            "p_v": self.p_v,
-            "p_v_mcse": self.p_v_mcse,
-            "conflict_ratio": self.conflict_ratio,
-            "conflict_ratio_mcse": self.conflict_ratio_mcse,
-            "conflict_threshold": self.conflict_threshold,
-            "flagged": self.flagged,
-            "n_draws": self.n_draws,
-            "n_chains": self.n_chains,
-        }
-
-    def to_dict(self) -> dict:
-        per_obs = {
-            "obs_ids": list(self.obs_ids),
-            "linf": self.linf,
-            "linf_mcse": self.linf_mcse,
-            "dinf": self.dinf,
-            "dinf_mcse": self.dinf_mcse,
-            "clinf": self.clinf,
-            "clinf_mcse": self.clinf_mcse,
-        }
-        return {"per_observation": per_obs, "totals": self.totals_dict()}
-
-    def write_json(self, path) -> None:
-        dump_json(path, self.to_dict())
-
-    def write_csv(self, path) -> None:
-        header = ["obs_id", "linf", "linf_mcse", "dinf", "dinf_mcse", "clinf", "clinf_mcse"]
-        rows = (
-            [
-                obs,
-                format_float(self.linf[i]),
-                format_float(self.linf_mcse[i]),
-                format_float(self.dinf[i]),
-                format_float(self.dinf_mcse[i]),
-                format_float(self.clinf[i]),
-                format_float(self.clinf_mcse[i]),
-            ]
-            for i, obs in enumerate(self.obs_ids)
-        )
-        write_csv_rows(path, header, rows)
 
 
 def _row_selector(idx: np.ndarray) -> slice | np.ndarray:

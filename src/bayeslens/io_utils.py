@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Any
 
 import numpy as np
@@ -59,16 +59,38 @@ def read_json(path: str | os.PathLike, error: type[Exception], what: str) -> Any
             raise error(f"{path}: invalid {what} JSON ({exc})") from None
 
 
+@contextmanager
+def _replace_on_success(path: str | os.PathLike):
+    """Write through a temporary file beside ``path``, moved onto it only once complete.
+
+    On any failure the temporary file is removed and ``path`` is left as it was.
+    """
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(temporary)
+        raise
+
+
 def dump_json(path: str | os.PathLike, payload: dict) -> None:
     """Write a JSON document with sorted keys and a trailing newline."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with _replace_on_success(path) as handle:
         json.dump(jsonable(payload), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def write_csv_rows(path: str | os.PathLike, header: list[str], rows) -> None:
-    """Write rows of pre-formatted strings as a simple comma-joined CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+def write_csv_rows(path: str | os.PathLike, header, row_format: str, rows) -> None:
+    """Write a comma-joined CSV: the header, then ``row_format % tuple(row)`` per row.
+
+    ``row_format`` holds one ``%`` field per column, such as ``"%s,%.17g"``;
+    ``%.17g`` writes a float exactly as :func:`format_float` does.
+    """
+    line_format = row_format + "\n"
+    with _replace_on_success(path) as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(row) + "\n")
+            handle.write(line_format % tuple(row))

@@ -25,7 +25,6 @@ from .errors import (
     ZeroLeverage,
 )
 from .families import FAMILIES, check_params, lookup
-from .io_utils import dump_json, format_float, write_csv_rows
 from .sample_store import (
     GroupMap,
     PredictiveDraws,
@@ -97,34 +96,6 @@ class HatValues:
     cllev: np.ndarray
     n_pairs: int
     negative_pairs: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "obs_ids": list(self.obs_ids),
-            "hat_values": self.values,
-            "mcse": self.mcse,
-            "cllev": self.cllev,
-            "p_d_star": self.p_d_star,
-            "p_d_star_mcse": self.p_d_star_mcse,
-            "n_pairs": self.n_pairs,
-            "negative_pairs": self.negative_pairs,
-        }
-
-    def write_json(self, path) -> None:
-        dump_json(path, self.to_dict())
-
-    def write_csv(self, path) -> None:
-        header = ["obs_id", "hat_value", "mcse", "cllev"]
-        rows = (
-            [
-                obs,
-                format_float(self.values[i]),
-                format_float(self.mcse[i]),
-                format_float(self.cllev[i]),
-            ]
-            for i, obs in enumerate(self.obs_ids)
-        )
-        write_csv_rows(path, header, rows)
 
 
 def _split_streams(draw_chain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from .errors import (
     NonFiniteInput,
     SingularSystem,
 )
-from .io_utils import dump_json, format_float, read_json, write_csv_rows
+from .io_utils import dump_json, read_json
 from .sample_store import LogLikSamples, PredictiveDraws
 
 
@@ -109,43 +109,6 @@ class LinearDiagnostics:
         rhs = 2.0 * float(delta @ self.sandwich @ delta)
         return lhs, rhs
 
-    def to_dict(self) -> dict:
-        payload = {
-            "hat_diag": self.hat_diag,
-            "residuals": self.residuals,
-            "theta_bar": self.theta_bar,
-            "theta_hat": self.theta_hat,
-            "linf": self.linf,
-            "dinf": self.dinf,
-            "zinf": self.zinf,
-            "cook": self.cook,
-            "p_d": self.p_d,
-            "p_w": self.p_w,
-            "p_v": self.p_v,
-            "sandwich": self.sandwich,
-            "noise_variance": self.noise_variance,
-        }
-        return payload
-
-    def write_json(self, path) -> None:
-        dump_json(path, self.to_dict())
-
-    def write_csv(self, path) -> None:
-        header = ["index", "hat_value", "residual", "linf", "dinf", "zinf", "cook"]
-        rows = (
-            [
-                str(i + 1),
-                format_float(self.hat_diag[i]),
-                format_float(self.residuals[i]),
-                format_float(self.linf[i]),
-                format_float(self.dinf[i]),
-                format_float(self.zinf[i]),
-                format_float(self.cook[i]),
-            ]
-            for i in range(len(self.hat_diag))
-        )
-        write_csv_rows(path, header, rows)
-
 
 def _cholesky_solver(matrix: np.ndarray):
     """``rhs -> matrix^{-1} rhs`` through a Cholesky factor; None unless positive definite."""
@@ -227,11 +190,6 @@ def fit(spec: LinearModelSpec) -> LinearDiagnostics:
         sandwich=sandwich,
         noise_variance=sigma2,
     )
-
-
-def sandwich_identity_check(spec: LinearModelSpec) -> tuple[float, float]:
-    """``fit(spec).sandwich_identity()``: both sides of the sandwich identity."""
-    return fit(spec).sandwich_identity()
 
 
 def exact_sampler(

@@ -23,7 +23,6 @@ from .errors import (
     ZeroTrace,
 )
 from .influence import CovMatrix, _as_direction
-from .io_utils import dump_json, format_float, write_csv_rows
 from .leverage import HatValues
 
 
@@ -62,17 +61,6 @@ class OutlierDecomposition:
     @property
     def n_obs(self) -> int:
         return self.omega.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "obs_ids": list(self.obs_ids),
-            "clout": self.clout,
-            "eigenvalues": self.eigenvalues,
-            "eigenvectors": self.eigenvectors,
-        }
-
-    def write_json(self, path) -> None:
-        dump_json(path, self.to_dict())
 
 
 def outlier_matrix(cov, hat) -> OutlierDecomposition:
@@ -145,24 +133,3 @@ def scree(decomposition: OutlierDecomposition) -> list[tuple[int, float, float]]
         running += float(value)
         rows.append((rank, float(value), running / total))
     return rows
-
-
-def write_clout_csv(
-    decomposition: OutlierDecomposition, path, truncated: np.ndarray | None = None
-) -> None:
-    header = ["obs_id", "clout", "clout_truncated"]
-    trunc = decomposition.clout if truncated is None else truncated
-    rows = (
-        [obs, format_float(decomposition.clout[i]), format_float(trunc[i])]
-        for i, obs in enumerate(decomposition.obs_ids)
-    )
-    write_csv_rows(path, header, rows)
-
-
-def write_scree_csv(decomposition: OutlierDecomposition, path) -> None:
-    header = ["rank", "eigenvalue", "cumulative_share"]
-    rows = (
-        [str(rank), format_float(value), format_float(share)]
-        for rank, value, share in scree(decomposition)
-    )
-    write_csv_rows(path, header, rows)

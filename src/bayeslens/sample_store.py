@@ -12,6 +12,7 @@ write to as it is, and copy any other input.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import numbers
 import os
@@ -33,7 +34,7 @@ from .errors import (
     UnknownObsId,
 )
 from .families import FAMILIES, check_params, lookup
-from .io_utils import dump_json, open_text, read_json
+from .io_utils import dump_json, open_text, read_json, write_csv_rows
 
 
 def _integer_array(values, error: type[DiagnosticsError], message: str) -> np.ndarray:
@@ -512,12 +513,12 @@ def _write_draws_csv(path: str | os.PathLike, header, table: np.ndarray) -> None
     # One format per row over Python floats (``tolist``) writes the bytes of
     # io_utils.format_float on each cell, in less time than per-cell calls.
     # Converting a block of rows at a time bounds the Python floats alive.
-    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for start in range(0, table.shape[0], _WRITE_BLOCK_ROWS):
-            for row in table[start:start + _WRITE_BLOCK_ROWS].tolist():
-                handle.write(row_format % tuple(row))
+    blocks = (
+        table[start:start + _WRITE_BLOCK_ROWS].tolist()
+        for start in range(0, table.shape[0], _WRITE_BLOCK_ROWS)
+    )
+    row_format = ",".join(["%.17g"] * table.shape[1])
+    write_csv_rows(path, header, row_format, itertools.chain.from_iterable(blocks))
 
 
 def write_metadata_json(

@@ -31,7 +31,6 @@ from bayeslens import (
     p_v,
     plant_anomalies,
     random_spec,
-    sandwich_identity_check,
     truncated_clout,
 )
 from bayeslens.cli import main
@@ -204,7 +203,7 @@ def test_criterion_4_identity_suite():
         # information-sandwich identity on informative-prior specs
         for _ in range(5):
             spec = random_spec(rng, informative_prior=True)
-            lhs, rhs = sandwich_identity_check(spec)
+            lhs, rhs = fit(spec).sandwich_identity()
             assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), 1e-12)
 
 

@@ -1,12 +1,17 @@
 """Command-line wiring: exit codes, artifacts, determinism, error JSON."""
 
+import contextlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayeslens import linear_oracle as oracle_mod
 from bayeslens.cli import main
@@ -223,6 +228,45 @@ def assert_one_error_line(capsys, error):
     assert json.loads(lines[0])["error"] == error
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "flags, subcommand",
+        [(["--threshold", "abc"], True), (["--threshold", "-inf"], True),
+         (["--bogus"], True), ([], False)],
+        ids=["threshold_abc", "threshold_minus_inf", "unknown_flag", "no_subcommand"],
+    )
+    def test_usage_error_fails_closed(self, tmp_path, capsys, flags, subcommand):
+        """A malformed command line exits 1 with one JSON line and writes nothing."""
+        loglik, meta = write_toy(tmp_path)
+        out = tmp_path / "out"
+        argv = ["--out", str(out)]
+        if subcommand:
+            argv = ["influence", "--loglik", str(loglik), "--meta", str(meta),
+                    *flags] + argv
+        assert main(argv) == 1
+        assert_one_error_line(capsys, "InvalidParameter")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--threshold", "abc"), ("--seed", "-1"), ("--seed", "x"),
+         ("--pv-group-factor", "maybe")],
+    )
+    def test_message_names_flag_and_value(self, tmp_path, capsys, flag, value):
+        loglik, meta = write_toy(tmp_path)
+        code = main(["influence", "--loglik", str(loglik), "--meta", str(meta),
+                     f"{flag}={value}", "--out", str(tmp_path / "out")])
+        assert code == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert flag in message and repr(value) in message, message
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["influence", "--help"])
+        assert exc.value.code == 0
+        assert "--threshold" in capsys.readouterr().out
+
+
 class TestBadInputsFailClosed:
     @pytest.mark.parametrize(
         "trials",
@@ -376,6 +420,102 @@ class TestSimulateAndPipeline:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ZeroHatValue"
         assert "'a'" in err["message"]
+
+
+# Each artifact CSV against the JSON written beside it: the CSV's header line,
+# its row count, and its columns as computed from the JSON.
+ARTIFACT_PAIRS = {
+    "influence_report": (
+        "influence_report.json",
+        "obs_id,linf,linf_mcse,dinf,dinf_mcse,clinf,clinf_mcse",
+        40,
+        lambda j: [j["per_observation"][key] for key in (
+            "obs_ids", "linf", "linf_mcse", "dinf", "dinf_mcse", "clinf", "clinf_mcse")],
+    ),
+    "hat_values": (
+        "hat_values.json",
+        "obs_id,hat_value,mcse,cllev",
+        40,
+        lambda j: [j[key] for key in ("obs_ids", "hat_values", "mcse", "cllev")],
+    ),
+    "clout": (
+        "eigen.json",
+        "obs_id,clout,clout_truncated",
+        40,
+        lambda j: [j[key] for key in ("obs_ids", "clout", "clout_truncated")],
+    ),
+    "scree": (
+        "eigen.json",
+        "rank,eigenvalue,cumulative_share",
+        40,
+        lambda j: [list(range(1, len(j["eigenvalues"]) + 1)), j["eigenvalues"],
+                   (np.cumsum(j["eigenvalues"]) / np.sum(j["eigenvalues"])).tolist()],
+    ),
+    "group_conflict": (
+        "group_conflict.json",
+        "group,p_v,p_w,ratio,flagged",
+        4,
+        lambda j: [j[key] for key in ("group_labels", "p_v", "p_w", "ratio")]
+        + [[str(g in j["flagged_groups"]).lower() for g in j["group_labels"]]],
+    ),
+    "linear_diagnostics": (
+        "linear_diagnostics.json",
+        "index,hat_value,residual,linf,dinf,zinf,cook",
+        40,
+        lambda j: [list(range(1, len(j["hat_diag"]) + 1))] + [j[key] for key in (
+            "hat_diag", "residuals", "linf", "dinf", "zinf", "cook")],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def demo_diagnostics(tmp_path_factory):
+    """Every diagnostic artifact pair, from one demo corpus with a group map."""
+    base = tmp_path_factory.mktemp("formats")
+    corpus, diag = base / "corpus", base / "diag"
+    assert main(["simulate", "--demo", "--draws", "600", "--out", str(corpus)]) == 0
+    obs_ids = (corpus / "loglik.csv").read_text().split("\n", 1)[0].split(",")
+    groups = base / "groups.json"
+    groups.write_text(json.dumps({obs: f"g{i % 4}" for i, obs in enumerate(obs_ids)}))
+    loglik, meta, pred = (
+        str(corpus / name) for name in ("loglik.csv", "metadata.json", "predictive.csv")
+    )
+    for argv in (
+        ["influence", "--loglik", loglik, "--meta", meta, "--groups", str(groups),
+         "--threshold", "1.1"],
+        ["leverage", "--pred", pred, "--meta", meta],
+        ["outliers", "--loglik", loglik, "--meta", meta, "--pred", pred,
+         "--trunc-rank", "7"],
+        ["oracle", "--spec", str(corpus / "spec_used.json")],
+    ):
+        assert main(argv + ["--out", str(diag)]) == 0
+    return diag
+
+
+class TestArtifactFormats:
+    @pytest.mark.parametrize("name", sorted(ARTIFACT_PAIRS))
+    def test_csv_matches_json(self, demo_diagnostics, name):
+        """Header, row count, and every cell equal to its JSON twin, floats bit for bit."""
+        json_name, header, n_rows, columns_of = ARTIFACT_PAIRS[name]
+        lines = (demo_diagnostics / f"{name}.csv").read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + n_rows
+        cells = list(zip(*(line.split(",") for line in lines[1:])))
+        expected = columns_of(read_json(demo_diagnostics / json_name))
+        assert len(cells) == len(expected) == header.count(",") + 1
+        for column, values in zip(cells, expected):
+            assert len(values) == n_rows
+            for cell, value in zip(column, values):
+                if isinstance(value, float):
+                    assert float(cell).hex() == value.hex(), (name, cell, value)
+                else:
+                    assert cell == str(value), (name, cell, value)
+
+    def test_flagged_groups_present(self, demo_diagnostics):
+        """The conflict threshold leaves both flagged and unflagged groups to check."""
+        flags = {line.rsplit(",", 1)[1] for line in
+                 (demo_diagnostics / "group_conflict.csv").read_text().splitlines()[1:]}
+        assert flags == {"true", "false"}
 
 
 class TestOracleCommand:
@@ -567,3 +707,101 @@ class TestStartupImports:
         assert run_probe(["oracle", "--spec", str(corpus / "spec_used.json"),
                           "--out", str(tmp_path / "oracle")]) == (0, [])
         assert read_json(tmp_path / "oracle" / "linear_diagnostics.json")["p_d"] > 0
+
+
+CORPUS_FILES = ("loglik.csv", "metadata.json", "predictive.csv", "spec_used.json",
+                "groups.json", "absent.json", "")
+# each subcommand's input files, then the other flags it accepts
+NEEDS = {
+    "influence": {"--loglik": "loglik.csv", "--meta": "metadata.json"},
+    "conflict": {"--loglik": "loglik.csv", "--meta": "metadata.json",
+                 "--groups": "groups.json"},
+    "leverage": {"--pred": "predictive.csv", "--meta": "metadata.json"},
+    "outliers": {"--loglik": "loglik.csv", "--meta": "metadata.json",
+                 "--pred": "predictive.csv"},
+    "oracle": {"--spec": "spec_used.json"},
+    "simulate": {},
+}
+OPTIONS = {
+    "influence": ["--groups", "--threshold", "--strict", "--pv-group-factor"],
+    "conflict": ["--threshold", "--strict", "--pv-group-factor"],
+    "leverage": ["--kl-symmetrize"],
+    "outliers": ["--trunc-rank", "--kl-symmetrize"],
+    "oracle": [],
+    "simulate": ["--chains", "--outlier-idx", "--outlier-scale", "--leverage-idx",
+                 "--leverage-shift"],
+}
+JUNK = ("", "-", "--", "-x", "--bogus", "nan", "-inf", "1e999", "0x10", "on",
+        "influence", "--threshold=nan", "--seed=-1", "--draws=", "--trunc-rank=0")
+
+
+@st.composite
+def fuzz_argv(draw, corpus):
+    """An argv list: a subcommand (or junk); its input flags, each kept, given
+    another value or dropped; then up to six more flags and junk tokens, most
+    of them flags the subcommand accepts. Integer values stay within 100, so
+    that no draw count is large."""
+    paths = st.sampled_from([str(corpus / name) for name in CORPUS_FILES])
+    ints = st.integers(-3, 100).map(str)
+    floats = st.one_of(st.sampled_from(["1.5", "-2", "abc"]), st.floats().map(repr))
+    values = {
+        "--loglik": paths, "--meta": paths, "--pred": paths, "--groups": paths,
+        "--spec": paths, "--seed": ints, "--draws": ints, "--chains": ints,
+        "--trunc-rank": ints, "--outlier-idx": ints, "--leverage-idx": ints,
+        "--threshold": floats, "--outlier-scale": floats, "--leverage-shift": floats,
+        "--pv-group-factor": st.sampled_from(["on", "off", "maybe"]),
+        "--strict": None, "--kl-symmetrize": None, "--demo": None,
+    }
+    command = draw(st.sampled_from([*NEEDS] * 3 + ["bogus", ""]))
+    argv = [command] if command else []
+    needs = dict(NEEDS.get(command, {}))
+    if command == "simulate":
+        argv += draw(st.sampled_from([["--demo"], ["--spec", str(corpus / "spec_used.json")]]))
+        # the default of 4000 draws is never used
+        needs["--draws"] = None
+    for flag, name in needs.items():
+        how = draw(st.sampled_from(["keep"] * 6 + ["other", "drop"]))
+        if how == "keep" and name is not None:
+            argv += [flag, str(corpus / name)]
+        elif how != "drop" or name is None:
+            argv += [flag, draw(values[flag])]
+    own = OPTIONS.get(command, []) + ["--seed"]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["own"] * 6 + ["any", "junk"]))
+        if kind == "junk":
+            argv.append(draw(st.sampled_from(JUNK)))
+            continue
+        flag = draw(st.sampled_from(own if kind == "own" else sorted(values)))
+        argv.append(flag)
+        if values[flag] is not None:
+            argv.append(draw(values[flag]))
+    return argv
+
+
+class TestFuzzMain:
+    """``main`` on generated command lines over a demo corpus (Hypothesis)."""
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_exit_codes_and_error_lines(self, demo_corpus, tmp_path, monkeypatch):
+        # nothing is written relative to the working directory
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+
+        @settings(max_examples=200, derandomize=True, deadline=None)
+        @given(fuzz_argv(demo_corpus))
+        def check(argv):
+            shutil.rmtree(out, ignore_errors=True)
+            err = io.StringIO()
+            # a SystemExit from argparse would escape main and fail the test
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv + ["--out", str(out)])
+            assert code in (0, 1, 2)
+            if code == 1:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1, lines
+                assert set(json.loads(lines[0])) == {"error", "message"}
+                assert not out.exists()
+            if code == 2:
+                assert "--strict" in argv
+
+        check()

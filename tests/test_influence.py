@@ -363,14 +363,6 @@ class TestInfluenceReport:
         with pytest.raises(ZeroTrace):
             influence_report(make([[1.0, 2.0]] * 4))
 
-    def test_report_writers(self, tmp_path):
-        report = self.make_report()
-        report.write_csv(tmp_path / "r.csv")
-        report.write_json(tmp_path / "r.json")
-        lines = (tmp_path / "r.csv").read_text().splitlines()
-        assert lines[0].startswith("obs_id,linf")
-        assert len(lines) == 6
-
     def test_degenerate_sample(self):
         with pytest.raises(DegenerateSample):
             LogLikSamples(values=[[0.0, 1.0]], draw_chain=[0], obs_ids=("a", "b"))

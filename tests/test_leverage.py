@@ -417,11 +417,3 @@ class TestAggregateHatValues:
         assert merged.values[1] == hat.values[2] + hat.values[3]
         assert merged.p_d_star == pytest.approx(hat.p_d_star, rel=1e-12)
 
-    def test_writers(self, tmp_path):
-        rng = np.random.default_rng(35)
-        hat = hat_values(normal_pred(rng.standard_normal((50, 2))), seed=13)
-        hat.write_csv(tmp_path / "h.csv")
-        hat.write_json(tmp_path / "h.json")
-        lines = (tmp_path / "h.csv").read_text().splitlines()
-        assert lines[0] == "obs_id,hat_value,mcse,cllev"
-        assert len(lines) == 3

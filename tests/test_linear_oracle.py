@@ -14,7 +14,6 @@ from bayeslens import (
     linf,
     plant_anomalies,
     random_spec,
-    sandwich_identity_check,
 )
 from bayeslens.errors import (
     DegenerateSample,
@@ -167,7 +166,7 @@ class TestFit:
         assert diag.theta_hat is None
         assert np.all(np.isfinite(diag.theta_bar))
         with pytest.raises(SingularSystem):
-            sandwich_identity_check(spec)
+            fit(spec).sandwich_identity()
 
 
 def scipy_reference(spec):
@@ -207,7 +206,7 @@ class TestAgainstScipyReference:
 
 class TestSandwichIdentity:
     def test_flat_prior_gives_zero(self):
-        lhs, rhs = sandwich_identity_check(intercept_spec())
+        lhs, rhs = fit(intercept_spec()).sandwich_identity()
         assert lhs == pytest.approx(0.0, abs=1e-12)
         assert rhs == pytest.approx(0.0, abs=1e-12)
 
@@ -215,11 +214,11 @@ class TestSandwichIdentity:
         rng = np.random.default_rng(63)
         for _ in range(10):
             spec = random_spec(rng, informative_prior=True)
-            lhs, rhs = sandwich_identity_check(spec)
+            lhs, rhs = fit(spec).sandwich_identity()
             assert rhs == pytest.approx(lhs, rel=1e-8, abs=1e-12)
 
     def test_intercept_with_unit_prior(self):
-        lhs, rhs = sandwich_identity_check(intercept_spec(psi=1.0))
+        lhs, rhs = fit(intercept_spec(psi=1.0)).sandwich_identity()
         assert lhs > 0.0
         assert rhs == pytest.approx(lhs, rel=1e-8)
 

@@ -20,7 +20,7 @@ from bayeslens.errors import (
     UncoveredObsId,
     UnknownObsId,
 )
-from bayeslens.io_utils import format_float
+from bayeslens.io_utils import dump_json, format_float, write_csv_rows
 from bayeslens.sample_store import (
     _read_csv_table,
     _read_csv_table_checked,
@@ -260,6 +260,43 @@ class TestRoundTrip:
         np.testing.assert_array_equal(
             pred.params, [[[3, 1], [2, 4]], [[7, 5], [6, 8]]]
         )
+
+
+def rows_then_disk_error():
+    yield ("a", 1.0)
+    raise OSError("no space left on device")
+
+
+class TestAtomicWrites:
+    """Artifacts are written whole or not at all."""
+
+    @pytest.mark.parametrize("old", [None, "kept\n"], ids=["absent", "existing"])
+    @pytest.mark.parametrize(
+        "write, error",
+        [
+            (lambda path: write_csv_rows(
+                path, ["obs_id", "x"], "%s,%.17g", rows_then_disk_error()), OSError),
+            # json.dump has written part of the document when it meets the object
+            (lambda path: dump_json(path, {"a": 1.0, "b": object()}), TypeError),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_failed_write_leaves_target_as_it_was(self, tmp_path, old, write, error):
+        target = tmp_path / "artifact"
+        if old is not None:
+            target.write_text(old)
+        with pytest.raises(error):
+            write(target)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["artifact"])
+        if old is not None:
+            assert target.read_text() == old
+
+    def test_success_replaces_target_and_leaves_no_temporary(self, tmp_path):
+        target = tmp_path / "artifact.csv"
+        target.write_text("old\n")
+        write_csv_rows(target, ["obs_id", "x"], "%s,%.17g", [("a", 0.1), ("b", -0.0)])
+        assert target.read_text() == "obs_id,x\na,0.10000000000000001\nb,-0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
 
 
 class TestAggregate:
