@@ -7,6 +7,8 @@ All randomness flows from one seed (default 42), so identical inputs and
 flags yield byte-identical output files; each file is written whole or not
 at all. Exit codes: 0 success, 1 input, validation or usage error (one JSON
 line on stderr), 2 when the prior-data conflict flag fires under --strict.
+Stderr holds JSON lines only: the error line on exit 1, otherwise one
+``{"warning": ..., "message": ...}`` line per warning the command raised.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -38,11 +41,13 @@ from .sample_store import (
 DEFAULT_SEED = 42
 
 
+def _stderr_line(record: dict) -> None:
+    sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
+
+
 def _fail(exc: Exception) -> int:
     code = exc.code if isinstance(exc, DiagnosticsError) else type(exc).__name__
-    sys.stderr.write(
-        json.dumps({"error": code, "message": str(exc)}, sort_keys=True) + "\n"
-    )
+    _stderr_line({"error": code, "message": str(exc)})
     return 1
 
 
@@ -347,11 +352,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.handler(args)
-    except (DiagnosticsError, OSError) as exc:
-        return _fail(exc)
+    # every warning is recorded, whatever the caller's filters, so that the
+    # stderr lines depend on the command alone
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.handler(args)
+        except (DiagnosticsError, OSError) as exc:
+            return _fail(exc)
+    for warning in caught:
+        _stderr_line({"warning": warning.category.__name__, "message": str(warning.message)})
+    return code
 
 
 if __name__ == "__main__":

@@ -2,12 +2,14 @@
 
 All text output is deterministic: floats are emitted with 17 significant
 digits (full float64 round-trip precision) and JSON keys are sorted, so a
-fixed seed yields byte-identical artifacts.
+fixed seed yields byte-identical artifacts. JSON output is strict: a NaN or
+infinite float is written as ``null``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager, suppress
 from typing import Any
@@ -21,18 +23,21 @@ def format_float(value: float) -> str:
 
 
 def jsonable(obj: Any) -> Any:
-    """Recursively convert numpy scalars/arrays to plain Python objects."""
+    """Recursively convert numpy scalars/arrays to plain Python objects.
+
+    A NaN or infinite float becomes ``None``, which JSON writes as ``null``.
+    """
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        if not obj.dtype.hasobject:
+        if not obj.dtype.hasobject and (obj.dtype.kind != "f" or np.isfinite(obj).all()):
             # tolist already yields Python scalars in nested lists
             return obj.tolist()
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+        return jsonable(obj.tolist())
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -77,9 +82,9 @@ def _replace_on_success(path: str | os.PathLike):
 
 
 def dump_json(path: str | os.PathLike, payload: dict) -> None:
-    """Write a JSON document with sorted keys and a trailing newline."""
+    """Write a strict JSON document with sorted keys and a trailing newline."""
     with _replace_on_success(path) as handle:
-        json.dump(jsonable(payload), handle, indent=2, sort_keys=True)
+        json.dump(jsonable(payload), handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
 

@@ -40,24 +40,26 @@ def family_kl(family: str, params1, params2):
 
     ``params1``/``params2`` are tuples of scalars or broadcastable arrays:
     normal families take (mean, variance), poisson (rate,), binomial
-    (probability, trials), gamma (shape, rate).
+    (probability, trials), gamma (shape, rate). The known variance of
+    ``normal_known_var`` and the binomial trial counts must be the same on
+    both sides.
     """
     spec = lookup(family, InvalidParameter)
     cols1, cols2 = (list(p) if isinstance(p, (tuple, list)) else [p] for p in (params1, params2))
-    arity = len(spec.params) + spec.takes_trials
+    arity = len(spec.params) + (spec.fixed is not None)
     if len(cols1) != arity or len(cols2) != arity:
         raise TypeError(f"family '{family}' takes {arity} parameters per side")
-    trials = None
-    if spec.takes_trials:
-        trials = np.asarray(cols1.pop())
-        if not np.array_equal(trials, np.asarray(cols2.pop())):
-            raise InvalidParameter("binomial KL needs matching trial counts")
+    fixed = None
+    if spec.fixed is not None:
+        fixed = np.asarray(cols1.pop())
+        if not np.array_equal(fixed, np.asarray(cols2.pop())):
+            raise InvalidParameter(f"{family} KL needs the same '{spec.fixed}' on both sides")
     cols = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in cols1 + cols2))
     k = len(spec.params)
     # both sides as two draws of one (2, ..., k) array
     pair = np.stack([np.stack(cols[:k], axis=-1), np.stack(cols[k:], axis=-1)])
-    check_params(family, pair, trials)
-    return spec.kl(pair[0], pair[1], trials)
+    check_params(family, pair, fixed)
+    return spec.kl(pair[0], pair[1], fixed)
 
 
 def mc_kl(logp1, logp2) -> float:
@@ -116,12 +118,12 @@ def _split_streams(draw_chain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _PAIR_BLOCK_BYTES = 1 << 20
 
 
-def _pair_mc_kl(rng, family, params1, params2, trials, replicates):
+def _pair_mc_kl(rng, family, params1, params2, fixed, replicates):
     total = np.zeros(params1.shape[:2])
     for _ in range(replicates):
-        outcome = family.sample(rng, params1, trials)
-        total += family.logpdf(outcome, params1, trials)
-        total -= family.logpdf(outcome, params2, trials)
+        outcome = family.sample(rng, params1, fixed)
+        total += family.logpdf(outcome, params1, fixed)
+        total -= family.logpdf(outcome, params2, fixed)
     return total / replicates
 
 
@@ -165,9 +167,9 @@ def hat_values(
     for start in range(0, n_pairs, block):
         params1 = pred.params[rows1[start:start + block]]
         params2 = pred.params[rows2[start:start + block]]
-        values = kl(params1, params2, pred.trials)
+        values = kl(params1, params2, pred.fixed)
         if symmetrize:
-            values = (values + kl(params2, params1, pred.trials)) / 2.0
+            values = (values + kl(params2, params1, pred.fixed)) / 2.0
         pair_values[start:start + block] = values
 
     raw = pair_values.mean(axis=0)

@@ -224,13 +224,12 @@ def exact_sampler(
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((draws, spec.n_params))
     thetas = theta_bar + noise @ chol.T
-    # means and the fixed variance go straight into the predictive parameters
-    params = np.empty((draws, spec.n_obs, 2))
-    params[:, :, 0] = thetas @ spec.design.T
-    params[:, :, 1] = sigma2
-    params.setflags(write=False)
+    # the means are the predictive parameters; the known variance is stored
+    # once per observation beside them
+    means = thetas @ spec.design.T
+    means.setflags(write=False)
     # c - (y - mean)**2 / (2 sigma2), one operation at a time in one array
-    loglik = spec.outcomes - params[:, :, 0]
+    loglik = spec.outcomes - means
     loglik **= 2
     loglik /= 2.0 * sigma2
     np.subtract(-0.5 * np.log(2.0 * np.pi * sigma2), loglik, out=loglik)
@@ -246,9 +245,10 @@ def exact_sampler(
     samples = LogLikSamples(values=loglik, draw_chain=draw_chain, obs_ids=obs_ids)
     pred = PredictiveDraws(
         family="normal_known_var",
-        params=params,
+        params=means.reshape(draws, spec.n_obs, 1),
         draw_chain=draw_chain,
         obs_ids=obs_ids,
+        fixed=np.full(spec.n_obs, sigma2),
     )
     return samples, pred
 

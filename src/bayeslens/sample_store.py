@@ -34,7 +34,7 @@ from .errors import (
     UnknownObsId,
 )
 from .families import FAMILIES, check_params, lookup
-from .io_utils import dump_json, open_text, read_json, write_csv_rows
+from .io_utils import dump_json, format_float, open_text, read_json, write_csv_rows
 
 
 def _integer_array(values, error: type[DiagnosticsError], message: str) -> np.ndarray:
@@ -172,23 +172,25 @@ class PredictiveDraws:
     """Per-draw, per-observation predictive-distribution parameters.
 
     ``params`` has shape (S, n, k) with the parameter order of
-    ``FAMILIES[family].params``. Binomial trial counts are fixed per
-    observation and stored separately in ``trials``.
+    ``FAMILIES[family].params``. A family's per-observation constant is
+    stored once per observation in ``fixed``, shape (n,): integer trial
+    counts for binomial, the known variance for ``normal_known_var``
+    (whose ``params`` are the (S, n, 1) means), ``None`` otherwise.
     """
 
     family: str
     params: np.ndarray
     draw_chain: np.ndarray
     obs_ids: tuple[str, ...]
-    trials: np.ndarray | None = None
+    fixed: np.ndarray | None = None
 
     def __post_init__(self):
-        names = lookup(self.family, FamilyMismatch).params
+        spec = lookup(self.family, FamilyMismatch)
         params = _frozen_float_array(self.params)
-        if params.ndim != 3 or params.shape[2] != len(names):
+        if params.ndim != 3 or params.shape[2] != len(spec.params):
             raise InvalidParameter(
                 f"params must have shape (draws, observations, "
-                f"{len(names)}) for family '{self.family}'"
+                f"{len(spec.params)}) for family '{self.family}'"
             )
         n_draws, n_obs, _ = params.shape
         if n_draws < 2:
@@ -199,18 +201,26 @@ class PredictiveDraws:
         if len(obs_ids) != n_obs:
             raise MalformedCsv(f"got {len(obs_ids)} obs ids for {n_obs} columns")
         draw_chain = _chain_array(self.draw_chain, n_draws)
-        trials = self.trials
-        if trials is not None:
-            trials = _integer_array(trials, InvalidParameter, "trial counts must be integers")
-            if trials.shape != (n_obs,):
-                raise InvalidParameter("trials must hold one count per observation")
-            trials.setflags(write=False)
-        check_params(self.family, params, trials)
+        fixed = self.fixed
+        # a constant given to a family without one is refused by check_params
+        if fixed is not None and spec.fixed is not None:
+            if spec.fixed == "trials":
+                fixed = _integer_array(fixed, InvalidParameter, "trial counts must be integers")
+            else:
+                fixed = _frozen_float_array(fixed)
+            if fixed.shape != (n_obs,):
+                raise InvalidParameter(
+                    f"{self.family} needs one '{spec.fixed}' per observation"
+                )
+            if not np.all(np.isfinite(fixed)):
+                raise NonFiniteValue(f"{self.family} '{spec.fixed}' is not finite")
+            fixed.setflags(write=False)
+        check_params(self.family, params, fixed)
         draw_chain.setflags(write=False)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "draw_chain", draw_chain)
         object.__setattr__(self, "obs_ids", obs_ids)
-        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "fixed", fixed)
 
     @property
     def n_draws(self) -> int:
@@ -435,6 +445,35 @@ def _resolve_family(meta: dict, family: str | None) -> str:
     raise FamilyMismatch("metadata 'families' must be a string or an object")
 
 
+# Binomial trial counts are the one per-observation constant read from the
+# metadata JSON; a family's other constant (the known variance) is a CSV
+# column beside its per-draw parameters.
+_METADATA_CONSTANT = "trials"
+
+
+def _csv_params(family: str) -> tuple[str, ...]:
+    """The ``<param>`` names of a family's predictive CSV columns, in order."""
+    spec = FAMILIES[family]
+    if spec.fixed in (None, _METADATA_CONSTANT):
+        return spec.params
+    return spec.params + (spec.fixed,)
+
+
+def _constant_down_draws(family: str, name: str, column: np.ndarray) -> np.ndarray:
+    """The first draw's row of an (S, n) column that must not vary across draws.
+
+    Raises InvalidParameter unless every draw is within a relative 1e-9 of
+    the first, checked through two reductions, not draw-sized temporaries.
+    """
+    first = column[0]
+    spread = np.maximum(column.max(axis=0) - first, first - column.min(axis=0))
+    if np.any(spread > 1e-9 * np.abs(first)):
+        raise InvalidParameter(
+            f"{family} '{name}' must be the same in every draw of an observation"
+        )
+    return first
+
+
 def load_predictive(
     pred_file: str | os.PathLike,
     metadata_file: str | os.PathLike,
@@ -444,13 +483,15 @@ def load_predictive(
 
     The family comes from the ``family`` argument or from the metadata
     ``families`` entry; binomial trial counts come from the metadata
-    ``trials`` object.
+    ``trials`` object. A ``normal_known_var`` variance is read from the
+    ``<obs_id>.var`` columns, which must hold the same value in every draw
+    (to a relative 1e-9); the first draw's value is kept.
     """
     header, table = _read_csv_table(pred_file)
     meta = _read_metadata(metadata_file, table.shape[0])
     family = _resolve_family(meta, family)
     spec = lookup(family, FamilyMismatch)
-    param_names = spec.params
+    param_names = _csv_params(family)
 
     # observation -> {param: column index}, observations in first-appearance order
     columns: dict[str, dict[str, int]] = {}
@@ -480,24 +521,30 @@ def load_predictive(
         table.setflags(write=False)
     params = table.reshape(table.shape[0], len(order), len(param_names))
 
-    trials = None
-    if spec.takes_trials:
-        raw = meta.get("trials")
+    fixed = None
+    if len(param_names) > len(spec.params):
+        # the constant's columns stay in the table; the params view skips them
+        fixed = _constant_down_draws(family, spec.fixed, params[:, :, -1])
+        params = params[:, :, :-1]
+    elif spec.fixed is not None:
+        raw = meta.get(spec.fixed)
         if not isinstance(raw, dict):
             raise InvalidParameter(
-                f"{family} predictive draws need a metadata 'trials' object"
+                f"{family} predictive draws need a metadata '{spec.fixed}' object"
             )
         missing = [obs for obs in order if obs not in raw]
         if missing:
-            raise InvalidParameter(f"metadata 'trials' misses observations: {missing}")
-        trials = [raw[obs] for obs in order]
+            raise InvalidParameter(
+                f"metadata '{spec.fixed}' misses observations: {missing}"
+            )
+        fixed = [raw[obs] for obs in order]
 
     return PredictiveDraws(
         family=family,
         params=params,
         draw_chain=meta["chains"],
         obs_ids=order,
-        trials=trials,
+        fixed=fixed,
     )
 
 
@@ -509,7 +556,9 @@ def write_loglik_csv(samples: LogLikSamples, path: str | os.PathLike) -> None:
 _WRITE_BLOCK_ROWS = 1024
 
 
-def _write_draws_csv(path: str | os.PathLike, header, table: np.ndarray) -> None:
+def _write_draws_csv(
+    path: str | os.PathLike, header, table: np.ndarray, row_format: str | None = None
+) -> None:
     # One format per row over Python floats (``tolist``) writes the bytes of
     # io_utils.format_float on each cell, in less time than per-cell calls.
     # Converting a block of rows at a time bounds the Python floats alive.
@@ -517,7 +566,8 @@ def _write_draws_csv(path: str | os.PathLike, header, table: np.ndarray) -> None
         table[start:start + _WRITE_BLOCK_ROWS].tolist()
         for start in range(0, table.shape[0], _WRITE_BLOCK_ROWS)
     )
-    row_format = ",".join(["%.17g"] * table.shape[1])
+    if row_format is None:
+        row_format = ",".join(["%.17g"] * table.shape[1])
     write_csv_rows(path, header, row_format, itertools.chain.from_iterable(blocks))
 
 
@@ -528,17 +578,27 @@ def write_metadata_json(
     meta: dict = {"chains": samples.draw_chain.tolist()}
     if isinstance(samples, PredictiveDraws):
         meta["families"] = samples.family
-        if samples.trials is not None:
-            meta["trials"] = {
-                obs: int(m) for obs, m in zip(samples.obs_ids, samples.trials)
+        if FAMILIES[samples.family].fixed == _METADATA_CONSTANT:
+            meta[_METADATA_CONSTANT] = {
+                obs: int(m) for obs, m in zip(samples.obs_ids, samples.fixed)
             }
     dump_json(path, meta)
 
 
 def write_predictive_csv(pred: PredictiveDraws, path: str | os.PathLike) -> None:
-    names = FAMILIES[pred.family].params
+    """Emit predictive draws as ``<obs_id>.<param>`` columns, a known variance
+    repeated in every draw."""
+    names = _csv_params(pred.family)
     header = [f"{obs}.{param}" for obs in pred.obs_ids for param in names]
-    _write_draws_csv(path, header, pred.params.reshape(pred.n_draws, -1))
+    per_draw = ["%.17g"] * pred.params.shape[2]
+    row_format = None
+    if len(names) > len(per_draw):
+        # the constant's text is the same in every row, so it is part of the
+        # row format and only the per-draw values are converted
+        row_format = ",".join(
+            ",".join([*per_draw, format_float(value)]) for value in pred.fixed.tolist()
+        )
+    _write_draws_csv(path, header, pred.params.reshape(pred.n_draws, -1), row_format)
 
 
 def load_group_map(path: str | os.PathLike) -> GroupMap:

@@ -420,6 +420,7 @@ def test_supplementary_stream_swap_agreement():
                 [pred.draw_chain[~first], pred.draw_chain[first]]
             ),
             obs_ids=pred.obs_ids,
+            fixed=pred.fixed,
         )
         backward = hat_values(swapped, seed=2)
         combined = np.sqrt(forward.mcse**2 + backward.mcse**2)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from bayeslens import linear_oracle as oracle_mod
 from bayeslens.cli import main
+from bayeslens.io_utils import format_float
 
 TOY_CSV = "a,b\n0,0\n1,2\n2,4\n"
 TOY_META = '{"chains": [0, 0, 1]}'
@@ -28,8 +29,13 @@ def write_toy(tmp_path):
     return loglik, meta
 
 
+def no_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
 def read_json(path):
-    return json.loads(path.read_text())
+    """Parse an artifact as strict JSON: NaN and Infinity are refused."""
+    return json.loads(path.read_text(), parse_constant=no_constant)
 
 
 def child_env(**extra):
@@ -282,6 +288,23 @@ class TestBadInputsFailClosed:
             '{"chains": [0, 0, 1, 1], "families": "binomial", '
             '"trials": {"a": %s, "b": 4}}' % trials
         )
+        out = tmp_path / "out"
+        code = main(["leverage", "--pred", str(pred), "--meta", str(meta), "--out", str(out)])
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidParameter")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("wobble", [2e-9, 1e-3, -2e-9])
+    def test_varying_known_variance(self, tmp_path, capsys, wobble):
+        """A ``normal_known_var`` variance that moves across draws by more than
+        a relative 1e-9 exits 1 and writes nothing."""
+        pred = tmp_path / "pred.csv"
+        pred.write_text(
+            "a.mean,a.var,b.mean,b.var\n"
+            f"0,2,1,1\n0.5,2,1.5,1\n0,2,1,{format_float(1.0 + wobble)}\n1,2,0,1\n"
+        )
+        meta = tmp_path / "meta.json"
+        meta.write_text('{"chains": [0, 0, 1, 1], "families": "normal_known_var"}')
         out = tmp_path / "out"
         code = main(["leverage", "--pred", str(pred), "--meta", str(meta), "--out", str(out)])
         assert code == 1
@@ -648,6 +671,7 @@ class TestDeterminism:
 SCIPY_PROBE = """
 import json, sys
 from bayeslens.cli import main
+from bayeslens.io_utils import format_float
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 sys.exit(code)
@@ -707,6 +731,91 @@ class TestStartupImports:
         assert run_probe(["oracle", "--spec", str(corpus / "spec_used.json"),
                           "--out", str(tmp_path / "oracle")]) == (0, [])
         assert read_json(tmp_path / "oracle" / "linear_diagnostics.json")["p_d"] > 0
+
+
+class TestStrictJson:
+    """A NaN result is written as null in JSON and as nan in CSV."""
+
+    def test_group_ratio_of_a_constant_group(self, tmp_path):
+        loglik = tmp_path / "loglik.csv"
+        loglik.write_text("a,b,c\n0,1,0\n1,1,2\n2,1,4\n0.5,1,1\n")
+        meta = tmp_path / "meta.json"
+        meta.write_text('{"chains": [0, 0, 1, 1]}')
+        groups = tmp_path / "groups.json"
+        groups.write_text('{"a": "ga", "b": "gb", "c": "ga"}')
+        out = tmp_path / "out"
+        assert main(["conflict", "--loglik", str(loglik), "--meta", str(meta),
+                     "--groups", str(groups), "--out", str(out)]) == 0
+        report = read_json(out / "group_conflict.json")
+        assert report["group_labels"] == ["ga", "gb"]
+        assert report["ratio"][0] == pytest.approx(3.6)
+        assert report["ratio"][1] is None
+        assert (out / "group_conflict.csv").read_text().splitlines()[2] == "gb,0,0,nan,false"
+
+    def test_mcse_from_too_few_draws(self, tmp_path):
+        loglik, meta = write_toy(tmp_path)
+        out = tmp_path / "out"
+        assert main(["influence", "--loglik", str(loglik), "--meta", str(meta),
+                     "--out", str(out)]) == 0
+        report = read_json(out / "influence_report.json")
+        assert report["per_observation"]["linf_mcse"] == [None, None]
+        assert report["totals"]["p_w_mcse"] is None
+        assert report["totals"]["p_w"] == pytest.approx(5.0)
+        row = (out / "influence_report.csv").read_text().splitlines()[1].split(",")
+        assert row[2] == "nan"
+
+    def test_cllev_at_zero_leverage(self, tmp_path):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("a.mean,a.var,b.mean,b.var\n" + "0,1,0,1\n" * 4)
+        meta = tmp_path / "meta.json"
+        meta.write_text('{"chains": [0, 0, 1, 1], "families": "normal_known_var"}')
+        out = tmp_path / "out"
+        assert main(["leverage", "--pred", str(pred), "--meta", str(meta),
+                     "--out", str(out)]) == 0
+        report = read_json(out / "hat_values.json")
+        assert report["hat_values"] == [0.0, 0.0]
+        assert report["cllev"] == [None, None]
+
+
+def run_cli(argv):
+    """Exit code and stderr lines of ``bayeslens`` run in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "bayeslens.cli", *argv],
+        env=child_env(), capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stderr.splitlines()
+
+
+class TestStderrJsonLines:
+    """Warnings reach stderr as JSON lines, and an error line stands alone."""
+
+    def single_chain_corpus(self, tmp_path, constant):
+        mean = "0" if constant else "{}"
+        pred = tmp_path / "pred.csv"
+        pred.write_text("a.mean,a.var,b.mean,b.var\n" + "".join(
+            f"{mean.format(row)},1,{mean.format(-row)},1\n" for row in range(4)))
+        meta = tmp_path / "meta.json"
+        meta.write_text('{"chains": [0, 0, 0, 0], "families": "normal_known_var"}')
+        loglik = tmp_path / "loglik.csv"
+        loglik.write_text("a,b\n0,0\n1,2\n2,4\n0.5,1\n")
+        return ["--loglik", str(loglik), "--pred", str(pred), "--meta", str(meta)]
+
+    def test_error_exit_prints_only_the_error(self, tmp_path):
+        out = tmp_path / "out"
+        code, lines = run_cli(["outliers", *self.single_chain_corpus(tmp_path, True),
+                               "--out", str(out)])
+        assert code == 1
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"] == "ZeroHatValue"
+        assert not out.exists()
+
+    def test_warnings_become_json_lines(self, tmp_path):
+        inputs = self.single_chain_corpus(tmp_path, False)
+        code, lines = run_cli(["leverage", *inputs[2:], "--out", str(tmp_path / "out")])
+        assert code == 0
+        records = [json.loads(line) for line in lines]
+        assert records and all(set(r) == {"warning", "message"} for r in records)
+        assert any(r["message"].startswith("single chain") for r in records)
 
 
 CORPUS_FILES = ("loglik.csv", "metadata.json", "predictive.csv", "spec_used.json",

@@ -14,6 +14,7 @@ from bayeslens import (
     cllev_direction,
     family_kl,
     hat_values,
+    load_predictive,
     mc_kl,
 )
 from bayeslens.errors import (
@@ -29,7 +30,9 @@ from bayeslens.leverage import _split_streams
 
 FAMILY_NAMES = ("normal_known_var", "normal", "poisson", "binomial", "gamma")
 
-# (family, parameter column, a value outside that parameter's domain)
+# (family, position in a family_kl side, a value outside that parameter's
+# domain); the position past the per-draw parameters is the family's
+# per-observation constant
 OUT_OF_DOMAIN = [
     ("normal_known_var", 1, 0.0),
     ("normal", 1, -1.0),
@@ -48,9 +51,12 @@ def normal_pred(means, var=1.0, chains=None, ids=None):
         means.shape[0] - means.shape[0] // 2
     )
     ids = ids if ids is not None else tuple(f"o{i}" for i in range(means.shape[1]))
-    params = np.stack([means, np.full_like(means, var)], axis=2)
     return PredictiveDraws(
-        family="normal_known_var", params=params, draw_chain=chains, obs_ids=ids
+        family="normal_known_var",
+        params=means[:, :, np.newaxis],
+        draw_chain=chains,
+        obs_ids=ids,
+        fixed=np.full(means.shape[1], var),
     )
 
 
@@ -277,7 +283,7 @@ class TestHatValues:
             params=probs[:, :, np.newaxis],
             draw_chain=[0] * 20 + [1] * 20,
             obs_ids=("a", "b"),
-            trials=[4, 9],
+            fixed=[4, 9],
         )
         hat = hat_values(pred, seed=11)
         assert np.all(hat.values >= 0.0)
@@ -291,9 +297,9 @@ def one_shot_pairs(pred, seed, symmetrize):
     params1 = pred.params[idx1[rng.permutation(idx1.size)][:n_pairs]]
     params2 = pred.params[idx2[rng.permutation(idx2.size)][:n_pairs]]
     kl = FAMILIES[pred.family].kl
-    pair_values = kl(params1, params2, pred.trials)
+    pair_values = kl(params1, params2, pred.fixed)
     if symmetrize:
-        pair_values = (pair_values + kl(params2, params1, pred.trials)) / 2.0
+        pair_values = (pair_values + kl(params2, params1, pred.fixed)) / 2.0
     return pair_values
 
 
@@ -339,45 +345,52 @@ class TestDomainChecks:
     def test_predictive_draws_reject(self, random_predictive, family, column, value):
         pred = random_predictive(family, np.random.default_rng(37), 4, 2)
         params = pred.params.copy()
-        params[:, 0, column] = value
+        fixed = None if pred.fixed is None else pred.fixed.copy()
+        if column < params.shape[2]:
+            params[:, 0, column] = value
+        else:
+            fixed[0] = value
         with pytest.raises(InvalidParameter):
             PredictiveDraws(
                 family=family,
                 params=params,
                 draw_chain=pred.draw_chain,
                 obs_ids=pred.obs_ids,
-                trials=pred.trials,
+                fixed=fixed,
             )
 
     @pytest.mark.parametrize("family,column,value", OUT_OF_DOMAIN)
     def test_family_kl_rejects(self, random_predictive, family, column, value):
         pred = random_predictive(family, np.random.default_rng(38), 4, 2)
         good = [float(v) for v in pred.params[0, 1]]
+        if pred.fixed is not None:
+            good.append(pred.fixed[1])
         bad = list(good)
         bad[column] = value
-        if pred.trials is not None:
-            good.append(3)
-            bad.append(3)
         with pytest.raises(InvalidParameter):
             family_kl(family, tuple(good), tuple(bad))
         with pytest.raises(InvalidParameter):
             family_kl(family, tuple(bad), tuple(good))
+        # out of the domain on both sides, where no same-constant check applies
+        with pytest.raises(InvalidParameter):
+            family_kl(family, tuple(bad), tuple(bad))
 
-    def test_known_variance_must_be_constant(self):
-        """A known-variance normal whose variance moves across draws is refused up front."""
-        params = np.array([[[0.0, 1.0]], [[0.5, 1.0]], [[0.0, 2.0]], [[1.0, 2.0]]])
+    def test_known_variance_must_be_constant(self, tmp_path):
+        """A known-variance normal whose variance moves across draws is refused
+        when the draws are loaded; within 1e-9 the first draw's value is kept."""
+        meta = tmp_path / "meta.json"
+        meta.write_text('{"chains": [0, 0, 1, 1], "families": "normal_known_var"}')
+        pred_file = tmp_path / "pred.csv"
+        pred_file.write_text("a.mean,a.var\n0,1\n0.5,1\n0,2\n1,2\n")
         with pytest.raises(InvalidParameter, match="var"):
-            PredictiveDraws(
-                family="normal_known_var",
-                params=params,
-                draw_chain=[0, 0, 1, 1],
-                obs_ids=("a",),
-            )
+            load_predictive(pred_file, meta)
         # a relative wobble below 1e-9 is round-off, not a second variance
-        params[:, 0, 1] = [1.0, 1.0 + 5e-10, 1.0 - 5e-10, 1.0]
-        PredictiveDraws(
-            family="normal_known_var", params=params, draw_chain=[0, 0, 1, 1], obs_ids=("a",)
+        pred_file.write_text(
+            "a.mean,a.var\n0,1.0000000005\n0.5,1\n0,0.9999999996\n1,1\n"
         )
+        pred = load_predictive(pred_file, meta)
+        assert pred.fixed.tolist() == [1.0000000005]
+        np.testing.assert_array_equal(pred.params[:, 0, 0], [0.0, 0.5, 0.0, 1.0])
 
 
 class TestCllevDirection:

@@ -293,6 +293,11 @@ class TestExactSampler:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * (samples.values.nbytes + pred.params.nbytes)
+        # the predictive params are the means alone; the variance is kept once
+        assert pred.params.shape == (20_000, 40, 1)
+        assert pred.params.nbytes == 20_000 * 40 * 8
+        assert pred.params.flags.c_contiguous
+        np.testing.assert_array_equal(pred.fixed, np.full(40, spec.noise_variance))
 
     def test_hat_values_pipeline(self):
         spec = intercept_spec((0.0, 1.0, 2.0, 3.0, 4.0))

@@ -230,9 +230,11 @@ class TestRoundTrip:
         np.testing.assert_array_equal(again.params, pred.params)
         np.testing.assert_array_equal(again.draw_chain, pred.draw_chain)
         if family == "binomial":
-            np.testing.assert_array_equal(again.trials, [1, 2, 3])
+            np.testing.assert_array_equal(again.fixed, [1, 2, 3])
+        elif family == "normal_known_var":
+            np.testing.assert_array_equal(again.fixed, pred.fixed)
         else:
-            assert again.trials is None
+            assert again.fixed is None
 
     def test_written_bytes_match_per_cell_format(self, tmp_path):
         """Each cell is written as format_float of its value, comma-joined."""
@@ -455,6 +457,19 @@ class TestLoaderMemory:
         np.testing.assert_array_equal(loaded.params, pred.params)
         assert peak <= 1.5 * loaded.params.nbytes
 
+    def test_load_known_variance_peak(self, tmp_path, random_predictive):
+        """The means are passed on as a view of the parsed (S, 2n) table."""
+        pred = random_predictive("normal_known_var", np.random.default_rng(11), 8000, 40)
+        write_predictive_csv(pred, tmp_path / "pred.csv")
+        write_metadata_json(pred, tmp_path / "meta.json")
+        loaded, peak = traced_peak(
+            lambda: load_predictive(tmp_path / "pred.csv", tmp_path / "meta.json")
+        )
+        np.testing.assert_array_equal(loaded.params, pred.params)
+        np.testing.assert_array_equal(loaded.fixed, pred.fixed)
+        table_bytes = 2 * loaded.params.nbytes
+        assert peak <= 1.5 * table_bytes
+
 
 class TestPredictiveDraws:
     def test_family_from_metadata(self, tmp_path):
@@ -509,7 +524,7 @@ class TestPredictiveDraws:
             trials={"a": 5},
         )
         pred = load_predictive(pred_file, meta)
-        np.testing.assert_array_equal(pred.trials, [5])
+        np.testing.assert_array_equal(pred.fixed, [5])
 
     def test_probability_bounds(self):
         with pytest.raises(InvalidParameter, match="prob"):
@@ -518,8 +533,40 @@ class TestPredictiveDraws:
                 params=np.array([[[0.5]], [[1.0]]]),
                 draw_chain=[0, 1],
                 obs_ids=("a",),
-                trials=[3],
+                fixed=[3],
             )
+
+    @pytest.mark.parametrize(
+        "var, error",
+        [(0.0, InvalidParameter), (-1.0, InvalidParameter),
+         (np.nan, NonFiniteValue), (np.inf, NonFiniteValue)],
+        ids=["zero", "negative", "nan", "inf"],
+    )
+    def test_known_variance_domain(self, var, error):
+        with pytest.raises(error, match="var"):
+            PredictiveDraws(
+                family="normal_known_var",
+                params=np.zeros((2, 2, 1)),
+                draw_chain=[0, 1],
+                obs_ids=("a", "b"),
+                fixed=[1.0, var],
+            )
+
+    def test_fixed_constant_shape_and_presence(self):
+        means = np.zeros((2, 2, 1))
+        with pytest.raises(InvalidParameter, match="var"):
+            PredictiveDraws(family="normal_known_var", params=means,
+                            draw_chain=[0, 1], obs_ids=("a", "b"))
+        with pytest.raises(InvalidParameter, match="one 'var' per observation"):
+            PredictiveDraws(family="normal_known_var", params=means,
+                            draw_chain=[0, 1], obs_ids=("a", "b"), fixed=[1.0])
+        with pytest.raises(InvalidParameter, match="constant"):
+            PredictiveDraws(family="poisson", params=means + 1.0,
+                            draw_chain=[0, 1], obs_ids=("a", "b"), fixed=[1.0, 1.0])
+        # the (mean, var) layout of the CSV is not the container's
+        with pytest.raises(InvalidParameter, match="shape"):
+            PredictiveDraws(family="normal_known_var", params=np.ones((2, 2, 2)),
+                            draw_chain=[0, 1], obs_ids=("a", "b"), fixed=[1.0, 1.0])
 
     def test_negative_variance(self):
         with pytest.raises(InvalidParameter, match="var"):
