@@ -1,7 +1,7 @@
 """Local influence, leverage, outlier, and prior-data-conflict diagnostics
 computed from posterior draws of any Bayesian sampler."""
 
-from .errors import DiagnosticsError
+from .errors import DiagnosticsError, DiagnosticsWarning
 from .influence import (
     CovMatrix,
     CrossConflict,
@@ -56,6 +56,7 @@ __all__ = [
     "CovMatrix",
     "CrossConflict",
     "DiagnosticsError",
+    "DiagnosticsWarning",
     "GroupMap",
     "HatValues",
     "InfluenceReport",

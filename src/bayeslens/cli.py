@@ -8,7 +8,10 @@ flags yield byte-identical output files; each file is written whole or not
 at all. Exit codes: 0 success, 1 input, validation or usage error (one JSON
 line on stderr), 2 when the prior-data conflict flag fires under --strict.
 Stderr holds JSON lines only: the error line on exit 1, otherwise one
-``{"warning": ..., "message": ...}`` line per warning the command raised.
+``{"warning": <code>, "message": ...}`` line per warning the command raised,
+where the code is a package warning's stable ``code`` (``single_chain``,
+``floored_hat_values``, ``too_few_draws_for_mcse``) or else the warning's
+class name.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from . import influence as influence_mod
 from . import leverage as leverage_mod
 from . import linear_oracle as oracle_mod
 from . import outliers as outliers_mod
-from .errors import DiagnosticsError, InvalidParameter
+from .errors import DiagnosticsError, DiagnosticsWarning, InvalidParameter
 from .io_utils import dump_json, format_float, write_csv_rows
 from .sample_store import (
     check_aligned,
@@ -362,7 +365,9 @@ def main(argv=None) -> int:
         except (DiagnosticsError, OSError) as exc:
             return _fail(exc)
     for warning in caught:
-        _stderr_line({"warning": warning.category.__name__, "message": str(warning.message)})
+        message = warning.message
+        label = message.code if isinstance(message, DiagnosticsWarning) else type(message).__name__
+        _stderr_line({"warning": label, "message": str(message)})
     return code
 
 

@@ -1,7 +1,8 @@
-"""Exception types shared across the diagnostics engine.
+"""Exception and warning types shared across the diagnostics engine.
 
-Every class carries a stable ``code`` (its class name) which the CLI
-uses to emit machine-readable errors on stderr.
+Every error class carries a stable ``code`` (its class name) and every
+warning class a stable snake_case ``code``, which the CLI uses to emit
+machine-readable errors and warnings on stderr.
 """
 
 
@@ -105,3 +106,30 @@ class NonFiniteInput(DiagnosticsError):
 
 class IndexOutOfRange(DiagnosticsError):
     """An observation index is outside the valid range or duplicated."""
+
+
+# warnings -----------------------------------------------------------------------
+
+class DiagnosticsWarning(UserWarning):
+    """Base class for every warning issued by this package."""
+
+    code = "diagnostics_warning"
+
+
+class SingleChain(DiagnosticsWarning):
+    """Hat-values split a single chain into halves, which are not strictly
+    independent."""
+
+    code = "single_chain"
+
+
+class FlooredHatValues(DiagnosticsWarning):
+    """Negative hat-value estimates were floored at zero."""
+
+    code = "floored_hat_values"
+
+
+class TooFewDrawsForMcse(DiagnosticsWarning):
+    """A replicate block holds fewer than two draws, so influence MCSEs are NaN."""
+
+    code = "too_few_draws_for_mcse"

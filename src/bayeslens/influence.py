@@ -25,6 +25,7 @@ from .errors import (
     DegenerateSample,
     InvalidParameter,
     ProbabilityOutOfRange,
+    TooFewDrawsForMcse,
     ZeroPerturbation,
     ZeroTrace,
 )
@@ -111,9 +112,46 @@ def linf(samples: LogLikSamples) -> np.ndarray:
     return samples.values.var(axis=0, ddof=1)
 
 
+class _Sums(NamedTuple):
+    """Moments of a set of rows: the row count, the sums along the rows and
+    the centred sums of squares."""
+
+    count: int
+    total: np.ndarray | float
+    sq_dev: np.ndarray | float
+
+
+def _centred_sums(block: np.ndarray, work: np.ndarray) -> _Sums:
+    """The ``_Sums`` of ``block`` along its first axis; ``work`` (``block``'s
+    shape, and ``block`` itself when it may be overwritten) receives the
+    squared deviations.
+
+    The steps repeat ``numpy.var``'s (sum, divide, subtract, square, sum), so
+    ``sq_dev / (count - 1)`` equals ``block.var(axis=0, ddof=1)`` bit for bit.
+    """
+    count = block.shape[0]
+    total = block.sum(axis=0)
+    np.subtract(block, total / count, out=work)
+    np.square(work, out=work)
+    return _Sums(count, total, work.sum(axis=0))
+
+
+def _merge_sums(a, b) -> _Sums:
+    """The ``_Sums`` of the union of two disjoint sets of rows from each
+    set's ``count``, ``total`` and ``sq_dev``, merged by Chan, Golub &
+    LeVeque (1979)."""
+    count = a.count + b.count
+    delta = b.total / b.count - a.total / a.count
+    return _Sums(
+        count,
+        a.total + b.total,
+        a.sq_dev + b.sq_dev + delta * delta * (a.count * b.count / count),
+    )
+
+
 class _Moments(NamedTuple):
-    """Column moments of a block of draws: the row count, column sums,
-    centred sums of squares, maxima, minima and sums of ``exp(x - high)``."""
+    """Column moments of a block of draws: the ``_Sums`` fields, then
+    maxima, minima and sums of ``exp(x - high)``."""
 
     count: int
     total: np.ndarray
@@ -139,36 +177,27 @@ def _block_moments(block: np.ndarray, scratch: np.ndarray) -> _Moments:
     """The moments of ``block``; ``scratch`` (at least as many rows as
     ``block``) is the only temporary.
 
-    The steps repeat ``numpy.var``'s (sum, divide, subtract, square, sum) and
-    the max-shifted log-mean-exp's, so ``linf()`` and ``dinf()`` of one block
-    equal ``block.var(axis=0, ddof=1)`` and its Jensen gap bit for bit.
+    The steps repeat ``numpy.var``'s and the max-shifted log-mean-exp's, so
+    ``linf()`` and ``dinf()`` of one block equal ``block.var(axis=0, ddof=1)``
+    and its Jensen gap bit for bit.
     """
-    count = block.shape[0]
-    total = block.sum(axis=0)
-    work = scratch[:count]
-    np.subtract(block, total / count, out=work)
-    np.square(work, out=work)
-    sq_dev = work.sum(axis=0)
+    work = scratch[:block.shape[0]]
+    sums = _centred_sums(block, work)
     high = block.max(axis=0)
     np.subtract(block, high, out=work)
     np.exp(work, out=work)
-    return _Moments(count, total, sq_dev, high, block.min(axis=0), work.sum(axis=0))
+    return _Moments(*sums, high, block.min(axis=0), work.sum(axis=0))
 
 
 def _pool(blocks: list[_Moments]) -> _Moments:
     """Moments of the union of the blocks' rows, merged pairwise: sums of
-    squares by Chan, Golub & LeVeque (1979), extrema and shifted exp sums
-    exactly."""
+    squares by ``_merge_sums``, extrema and shifted exp sums exactly."""
     if len(blocks) == 1:
         return blocks[0]
     a, b = _pool(blocks[: len(blocks) // 2]), _pool(blocks[len(blocks) // 2:])
-    count = a.count + b.count
-    delta = b.total / b.count - a.total / a.count
     high = np.maximum(a.high, b.high)
     return _Moments(
-        count,
-        a.total + b.total,
-        a.sq_dev + b.sq_dev + delta * delta * (a.count * b.count / count),
+        *_merge_sums(a, b),
         high,
         np.minimum(a.low, b.low),
         a.exp_sum * np.exp(a.high - high) + b.exp_sum * np.exp(b.high - high),
@@ -388,6 +417,7 @@ def influence_report(
     else:
         warnings.warn(
             "too few draws per replicate for Monte Carlo standard errors",
+            TooFewDrawsForMcse,
             stacklevel=2,
         )
         nan_vec = np.full(len(linf_vec), np.nan)

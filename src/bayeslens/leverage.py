@@ -6,7 +6,10 @@ posterior draws. Draws are split into two streams (parallel chains, or a
 half-split of a single chain), shuffled with a seeded generator to break
 residual alignment, and paired index-by-index. The KL integrand is closed
 form for every supported predictive family; an unbiased Monte Carlo
-fallback over replicate outcomes is available as well.
+fallback over replicate outcomes is available as well. Each block of pairs
+is folded into running moments, so the scratch is a few blocks of about
+1 MB whatever the number of draws; the MCSEs may therefore differ from a
+one-pass standard deviation by round-off.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from functools import partial
 import numpy as np
 
 from .errors import (
+    FlooredHatValues,
     InvalidParameter,
     NoReplicates,
+    SingleChain,
     SingleDraw,
     ZeroLeverage,
 )
@@ -32,7 +37,7 @@ from .sample_store import (
     group_members,
     replicate_groups,
 )
-from .influence import _as_direction
+from .influence import _as_direction, _centred_sums, _merge_sums
 
 
 def family_kl(family: str, params1, params2):
@@ -108,6 +113,7 @@ def _split_streams(draw_chain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     warnings.warn(
         "single chain: pairing first half against second half; "
         "halves are not strictly independent",
+        SingleChain,
         stacklevel=3,
     )
     first, second = replicate_groups(draw_chain)
@@ -147,6 +153,14 @@ def hat_values(
     hat-values are floored at zero and counted. The pairs are evaluated in
     blocks of rows, and the replicate outcomes are drawn block by block, so
     the Monte Carlo values for a seed depend on the block size.
+
+    Each block is folded into running moments rather than kept. The
+    hat-values are bit-identical to the column means of the array of all
+    pair values (for two or more observations; a single column's sum is
+    sequential across blocks, where numpy's is pairwise). ``mcse`` and
+    ``p_d_star_mcse`` merge the blocks' centred sums of squares by Chan's
+    rule, so they may differ from that array's standard deviations by
+    round-off when there is more than one block.
     """
     idx1, idx2 = _split_streams(pred.draw_chain)
     n_pairs = min(idx1.shape[0], idx2.shape[0])
@@ -160,32 +174,47 @@ def hat_values(
     kl = family.kl
     if force_mc:
         kl = partial(_pair_mc_kl, rng, family, replicates=mc_replicates)
-    # Pairs are gathered a block at a time, so no permuted copy of the whole
-    # params array is made. The KL is elementwise: blocking leaves its bits.
-    block = max(1, _PAIR_BLOCK_BYTES // pred.params[0].nbytes)
-    pair_values = np.empty((n_pairs, pred.n_obs))
+    # Pairs are gathered and evaluated a block at a time, and each block is
+    # folded into running moments, so neither a permuted copy of the params
+    # nor an array of all pair values is made. The KL is elementwise:
+    # blocking leaves its bits.
+    block = min(n_pairs, max(1, _PAIR_BLOCK_BYTES // pred.params[0].nbytes))
+    scratch = np.empty((block + 1, pred.n_obs))
+    negative = np.zeros(pred.n_obs, dtype=int)
     for start in range(0, n_pairs, block):
-        params1 = pred.params[rows1[start:start + block]]
-        params2 = pred.params[rows2[start:start + block]]
-        values = kl(params1, params2, pred.fixed)
+        count = min(block, n_pairs - start)
+        params1 = pred.params[rows1[start:start + count]]
+        params2 = pred.params[rows2[start:start + count]]
+        values = scratch[1:count + 1]
+        values[...] = kl(params1, params2, pred.fixed)
         if symmetrize:
-            values = (values + kl(params2, params1, pred.fixed)) / 2.0
-        pair_values[start:start + block] = values
+            values += kl(params2, params1, pred.fixed)
+            values /= 2.0
+        # Row 0 carries the column sums of the earlier blocks, so summing it
+        # with this block's rows continues numpy's sequential axis-0 sum of
+        # all pairs bit for bit (a single column is summed pairwise instead).
+        scratch[0] = scratch[0 if start else 1:count + 1].sum(axis=0)
+        negative += (values < 0.0).sum(axis=0)
+        block_totals = values.sum(axis=1)
+        block_totals = _centred_sums(block_totals, block_totals)
+        block_columns = _centred_sums(values, values)  # overwrites the block
+        if start:
+            block_totals = _merge_sums(pair_totals, block_totals)
+            block_columns = _merge_sums(columns, block_columns)
+        pair_totals, columns = block_totals, block_columns
 
-    raw = pair_values.mean(axis=0)
-    mcse = pair_values.std(axis=0, ddof=1) / math.sqrt(n_pairs)
-    negative = (pair_values < 0.0).sum(axis=0)
+    raw = scratch[0] / n_pairs
+    mcse = np.sqrt(columns.sq_dev / (n_pairs - 1)) / math.sqrt(n_pairs)
     floored = raw < 0.0
     if np.any(floored):
         warnings.warn(
             f"floored {int(floored.sum())} negative hat-value estimate(s) at zero",
+            FlooredHatValues,
             stacklevel=2,
         )
     values = np.maximum(raw, 0.0)
     total = float(np.sum(values))
-    total_mcse = float(
-        pair_values.sum(axis=1).std(ddof=1) / math.sqrt(n_pairs)
-    )
+    total_mcse = math.sqrt(pair_totals.sq_dev / (n_pairs - 1)) / math.sqrt(n_pairs)
     cllev = values / total if total > 0.0 else np.full(values.shape, np.nan)
     return HatValues(
         obs_ids=pred.obs_ids,
@@ -195,7 +224,7 @@ def hat_values(
         p_d_star_mcse=total_mcse,
         cllev=cllev,
         n_pairs=n_pairs,
-        negative_pairs=negative.astype(int),
+        negative_pairs=negative,
     )
 
 

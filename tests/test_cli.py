@@ -817,6 +817,22 @@ class TestStderrJsonLines:
         assert records and all(set(r) == {"warning", "message"} for r in records)
         assert any(r["message"].startswith("single chain") for r in records)
 
+    def test_warnings_carry_stable_codes(self, tmp_path):
+        """A package warning is named by its code, not by its class."""
+        inputs = self.single_chain_corpus(tmp_path, False)
+        code, lines = run_cli(["leverage", *inputs[2:], "--out", str(tmp_path / "lev")])
+        assert code == 0
+        assert [json.loads(line)["warning"] for line in lines] == ["single_chain"]
+        # three draws: halves of one and two draws cannot replicate an MCSE
+        loglik = tmp_path / "loglik3.csv"
+        loglik.write_text("a,b\n0,0\n1,2\n2,4\n")
+        meta = tmp_path / "meta3.json"
+        meta.write_text('{"chains": [0, 0, 0]}')
+        code, lines = run_cli(["influence", "--loglik", str(loglik), "--meta", str(meta),
+                               "--out", str(tmp_path / "inf")])
+        assert code == 0
+        assert [json.loads(line)["warning"] for line in lines] == ["too_few_draws_for_mcse"]
+
 
 CORPUS_FILES = ("loglik.csv", "metadata.json", "predictive.csv", "spec_used.json",
                 "groups.json", "absent.json", "")

@@ -1,5 +1,6 @@
 """Influence diagnostics: covariance, penalties, conformal statistics."""
 
+import functools
 import math
 import tracemalloc
 
@@ -32,7 +33,7 @@ from bayeslens.errors import (
     ZeroPerturbation,
     ZeroTrace,
 )
-from bayeslens.influence import _block_moments, _pool
+from bayeslens.influence import _block_moments, _centred_sums, _merge_sums, _pool
 from bayeslens.sample_store import replicate_groups
 
 TOY = [[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]]
@@ -474,6 +475,28 @@ class TestBlockMoments:
         np.testing.assert_array_equal(pooled.low, whole.low)
         np.testing.assert_allclose(pooled.linf(), whole.linf(), rtol=1e-12)
         np.testing.assert_allclose(pooled.dinf(), whole.dinf(), rtol=1e-9)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        draws=st.integers(2, 120),
+        n_obs=st.integers(1, 5),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+    )
+    def test_merge_sums_any_contiguous_split(self, seed, draws, n_obs, cuts):
+        """Folding the parts' sums in order, as hat_values does, gives the
+        sums of the whole, for columns and for row totals alike."""
+        values = _spread_draws(np.random.default_rng(seed), draws, n_obs)
+        edges = sorted({0, draws, *(int(c * draws) for c in cuts)})
+        for data in (values, values.sum(axis=1)):
+            parts = [_centred_sums(data[a:b], np.empty(data[a:b].shape))
+                     for a, b in zip(edges, edges[1:])]
+            merged = functools.reduce(_merge_sums, parts)
+            whole = _centred_sums(data, np.empty(data.shape))
+            assert merged.count == whole.count == draws
+            assert np.all(np.abs(merged.total - whole.total) <= 1e-12 * np.abs(data).sum(axis=0))
+            np.testing.assert_allclose(merged.sq_dev, whole.sq_dev, rtol=1e-12)
+            np.testing.assert_array_equal(whole.sq_dev / (draws - 1), data.var(axis=0, ddof=1))
 
     def test_column_constant_within_each_chain(self):
         """Each chain's Jensen gap is exactly zero, but pooled over the chains

@@ -1,6 +1,7 @@
 """Hat-value estimation and closed-form family KL divergences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from bayeslens import (
     mc_kl,
 )
 from bayeslens.errors import (
+    FlooredHatValues,
     InvalidParameter,
     NoReplicates,
+    SingleChain,
     SingleDraw,
     ZeroLeverage,
     ZeroPerturbation,
@@ -195,6 +198,20 @@ class TestHatValues:
             hat = hat_values(pred, seed=3)
         np.testing.assert_allclose(hat.values, [0.5], rtol=1e-15)
 
+    def test_warnings_carry_stable_codes(self):
+        means = np.array([[0.0], [0.0], [1.0], [-1.0]])
+        with pytest.warns(SingleChain) as record:
+            hat_values(normal_pred(means, chains=[0, 0, 0, 0]), seed=3)
+        assert record[0].message.code == "single_chain"
+        # streams 1e-3 apart: the replicate estimates of a 5e-7 KL are mostly noise
+        rng = np.random.default_rng(39)
+        means = np.repeat(rng.standard_normal((1, 20)), 40, axis=0)
+        means[20:] += 1e-3
+        with pytest.warns(FlooredHatValues) as record:
+            hat = hat_values(normal_pred(means), seed=0, force_mc=True, mc_replicates=4)
+        assert record[0].message.code == "floored_hat_values"
+        assert np.any(hat.values == 0.0)
+
     def test_streams_split_chains_in_order_of_first_appearance(self):
         first, second = _split_streams(np.array([2, 2, 0, 1, 1, 0, 3, 3]))
         assert first.tolist() == [0, 1, 2, 5]
@@ -289,36 +306,61 @@ class TestHatValues:
         assert np.all(hat.values >= 0.0)
 
 
-def one_shot_pairs(pred, seed, symmetrize):
-    """Pair values from full permuted copies of the params, all pairs at once."""
+def one_shot_pairs(pred, seed, symmetrize, force_mc=False, block=None):
+    """Pair values from full permuted copies of the params, all pairs at once.
+
+    Under ``force_mc`` the replicate outcomes (2 per pair) are drawn ``block``
+    pairs at a time, forward then backward within each block, which is the
+    order in which ``hat_values`` draws them from the seeded generator.
+    """
     rng = np.random.default_rng(seed)
     idx1, idx2 = _split_streams(pred.draw_chain)
     n_pairs = min(idx1.size, idx2.size)
     params1 = pred.params[idx1[rng.permutation(idx1.size)][:n_pairs]]
     params2 = pred.params[idx2[rng.permutation(idx2.size)][:n_pairs]]
-    kl = FAMILIES[pred.family].kl
-    pair_values = kl(params1, params2, pred.fixed)
-    if symmetrize:
-        pair_values = (pair_values + kl(params2, params1, pred.fixed)) / 2.0
-    return pair_values
+    family = FAMILIES[pred.family]
+    if not force_mc:
+        pair_values = family.kl(params1, params2, pred.fixed)
+        if symmetrize:
+            pair_values = (pair_values + family.kl(params2, params1, pred.fixed)) / 2.0
+        return pair_values
+    blocks = []
+    for start in range(0, n_pairs, block):
+        one, two = params1[start:start + block], params2[start:start + block]
+        values = leverage._pair_mc_kl(rng, family, one, two, pred.fixed, 2)
+        if symmetrize:
+            values = (values + leverage._pair_mc_kl(rng, family, two, one, pred.fixed, 2)) / 2.0
+        blocks.append(values)
+    return np.concatenate(blocks)
 
 
 class TestBlockedPairing:
-    """Blocked pairing gives the bits of the one-shot formula."""
+    """Blocked pairing folded into running moments: the bits of the one-shot
+    formulas for the hat-values and counts, and the one-shot MCSEs within
+    1e-12 relative (bit for bit from a single block)."""
 
-    def check_bit_identical(self, pred, symmetrize):
-        hat = hat_values(pred, seed=13, symmetrize=symmetrize)
-        pair_values = one_shot_pairs(pred, 13, symmetrize)
+    def check_against_one_shot(self, pred, symmetrize, force_mc):
+        block = leverage._PAIR_BLOCK_BYTES // pred.params[0].nbytes
+        hat = hat_values(pred, seed=13, symmetrize=symmetrize, force_mc=force_mc,
+                         mc_replicates=2)
+        pair_values = one_shot_pairs(pred, 13, symmetrize, force_mc, block)
         n_pairs = pair_values.shape[0]
         assert hat.n_pairs == n_pairs
-        np.testing.assert_array_equal(hat.values, np.maximum(pair_values.mean(axis=0), 0.0))
-        np.testing.assert_array_equal(
-            hat.mcse, pair_values.std(axis=0, ddof=1) / math.sqrt(n_pairs)
-        )
-        assert hat.p_d_star_mcse == float(
-            pair_values.sum(axis=1).std(ddof=1) / math.sqrt(n_pairs)
-        )
+        values = np.maximum(pair_values.mean(axis=0), 0.0)
+        total = float(np.sum(values))
+        np.testing.assert_array_equal(hat.values, values)
+        assert hat.p_d_star == total
+        np.testing.assert_array_equal(hat.cllev, values / total)
         np.testing.assert_array_equal(hat.negative_pairs, (pair_values < 0.0).sum(axis=0))
+        mcse = pair_values.std(axis=0, ddof=1) / math.sqrt(n_pairs)
+        total_mcse = float(pair_values.sum(axis=1).std(ddof=1) / math.sqrt(n_pairs))
+        if n_pairs <= block:
+            np.testing.assert_array_equal(hat.mcse, mcse)
+            assert hat.p_d_star_mcse == total_mcse
+        else:
+            # the merge of block moments reorders the sums of squares
+            np.testing.assert_allclose(hat.mcse, mcse, rtol=1e-12, atol=0.0)
+            assert hat.p_d_star_mcse == pytest.approx(total_mcse, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("symmetrize", [False, True])
     @pytest.mark.parametrize("family", FAMILY_NAMES)
@@ -328,7 +370,7 @@ class TestBlockedPairing:
     def test_small_blocks(self, random_predictive, monkeypatch, family, symmetrize, n_pairs):
         pred = random_predictive(family, np.random.default_rng(n_pairs), 2 * n_pairs, 3)
         monkeypatch.setattr(leverage, "_PAIR_BLOCK_BYTES", 4 * pred.params[0].nbytes)
-        self.check_bit_identical(pred, symmetrize)
+        self.check_against_one_shot(pred, symmetrize, force_mc=False)
 
     @pytest.mark.parametrize("symmetrize", [False, True])
     @pytest.mark.parametrize("family", FAMILY_NAMES)
@@ -337,7 +379,33 @@ class TestBlockedPairing:
         n_obs, k = 3, len(FAMILIES[family].params)
         block = leverage._PAIR_BLOCK_BYTES // (n_obs * k * 8)
         pred = random_predictive(family, np.random.default_rng(14), 2 * (block + 1), n_obs)
-        self.check_bit_identical(pred, symmetrize)
+        self.check_against_one_shot(pred, symmetrize, force_mc=False)
+
+    def test_peak_memory_bounded(self):
+        """No array of all pair values: at n=40, S=200000 (64 MB of draws)
+        the transient peak stays below 16 MB."""
+        means = np.random.default_rng(40).standard_normal((200_000, 40))
+        means.setflags(write=False)
+        pred = normal_pred(means)
+        tracemalloc.start()
+        try:
+            hat = hat_values(pred, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hat.n_pairs == 100_000
+        assert peak < 16e6
+
+    @pytest.mark.filterwarnings("ignore:floored")
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    @pytest.mark.parametrize("n_pairs", [3, 9])
+    def test_small_blocks_force_mc(self, random_predictive, monkeypatch, family, symmetrize,
+                                   n_pairs):
+        """The replicate estimator's negative pairs fold in like the rest."""
+        pred = random_predictive(family, np.random.default_rng(n_pairs), 2 * n_pairs, 3)
+        monkeypatch.setattr(leverage, "_PAIR_BLOCK_BYTES", 4 * pred.params[0].nbytes)
+        self.check_against_one_shot(pred, symmetrize, force_mc=True)
 
 
 class TestDomainChecks:
