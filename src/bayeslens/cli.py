@@ -5,7 +5,10 @@ required group map), oracle, simulate. The handlers here define the CSV and
 JSON format of every artifact; the library's result objects are plain data.
 All randomness flows from one seed (default 42), so identical inputs and
 flags yield byte-identical output files; each file is written whole or not
-at all. Exit codes: 0 success, 1 input, validation or usage error (one JSON
+at all. Besides ``--out``, a command may write one sidecar beside each input
+CSV: a ``<csv>.<sha256>.npy`` copy of its parsed table, which later reads of
+the same bytes load in place of the text (``sample_store._read_csv_table``).
+Exit codes: 0 success, 1 input, validation or usage error (one JSON
 line on stderr), 2 when the prior-data conflict flag fires under --strict.
 Stderr holds JSON lines only: the error line on exit 1, otherwise one
 ``{"warning": <code>, "message": ...}`` line per warning the command raised,

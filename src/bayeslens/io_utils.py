@@ -8,6 +8,7 @@ infinite float is written as ``null``.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -45,11 +46,42 @@ def jsonable(obj: Any) -> Any:
     return obj
 
 
+class _DigestingReader(io.RawIOBase):
+    """An unbuffered binary file that feeds each byte read from it to a hash object."""
+
+    def __init__(self, file: io.FileIO, digest):
+        super().__init__()
+        self._file = file
+        self._digest = digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._file.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:count])
+        return count
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
 @contextmanager
-def open_text(path: str | os.PathLike, error: type[Exception]):
-    """Open an input file as UTF-8 text; a byte that does not decode raises ``error``."""
+def open_text(path: str | os.PathLike, error: type[Exception], digest=None):
+    """Open an input file as UTF-8 text; a byte that does not decode raises ``error``.
+
+    One leading byte-order mark is dropped. With ``digest`` (a ``hashlib``
+    object), every byte read from the file, the mark included, is fed to it
+    in order; ``handle.buffer`` reads on past what the text layer has read.
+    """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        if digest is None:
+            handle = open(path, "r", encoding="utf-8-sig", newline="")
+        else:
+            raw = _DigestingReader(open(path, "rb", buffering=0), digest)
+            handle = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig", newline="")
+        with handle:
             yield handle
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -65,14 +97,18 @@ def read_json(path: str | os.PathLike, error: type[Exception], what: str) -> Any
 
 
 @contextmanager
-def _replace_on_success(path: str | os.PathLike):
+def _replace_on_success(path: str | os.PathLike, mode: str = "w"):
     """Write through a temporary file beside ``path``, moved onto it only once complete.
 
-    On any failure the temporary file is removed and ``path`` is left as it was.
+    ``mode`` opens the temporary file: ``"w"`` as UTF-8 text, ``"xb"`` as
+    binary, failing if it exists. On any failure after the temporary file
+    was opened, it is removed and ``path`` is left as it was.
     """
     temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    handle = open(temporary, mode, **text)
     try:
-        with open(temporary, "w", encoding="utf-8", newline="") as handle:
+        with handle:
             yield handle
         os.replace(temporary, path)
     except BaseException:
@@ -99,3 +135,13 @@ def write_csv_rows(path: str | os.PathLike, header, row_format: str, rows) -> No
         handle.write(",".join(header) + "\n")
         for row in rows:
             handle.write(line_format % tuple(row))
+
+
+def save_array(path: str | os.PathLike, values: np.ndarray) -> None:
+    """Write ``values`` as a ``.npy`` file, whose bytes depend only on the array.
+
+    The temporary file is created exclusively: a second save of ``path`` from
+    another thread of this process fails instead of writing into the first's.
+    """
+    with _replace_on_success(path, "xb") as handle:
+        np.save(handle, values, allow_pickle=False)

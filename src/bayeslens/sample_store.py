@@ -12,11 +12,13 @@ write to as it is, and copy any other input.
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
 import math
 import numbers
 import os
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +36,7 @@ from .errors import (
     UnknownObsId,
 )
 from .families import FAMILIES, check_params, lookup
-from .io_utils import dump_json, format_float, open_text, read_json, write_csv_rows
+from .io_utils import dump_json, format_float, open_text, read_json, save_array, write_csv_rows
 
 
 def _integer_array(values, error: type[DiagnosticsError], message: str) -> np.ndarray:
@@ -326,6 +328,20 @@ def aggregate(samples: LogLikSamples, groups: GroupMap) -> LogLikSamples:
 # File formats
 # ---------------------------------------------------------------------------
 
+# Bytes per read when a file is only hashed, not decoded.
+_HASH_BLOCK_BYTES = 1 << 16
+
+
+def _header_row(handle) -> list[str]:
+    return [cell.strip() for cell in next(csv.reader(handle), [])]
+
+
+def _hash_rest(handle) -> None:
+    """Read ``handle``'s file to its end below the text layer, so its digest is complete."""
+    while handle.buffer.read(_HASH_BLOCK_BYTES):
+        pass
+
+
 def _read_csv_table(path: str | os.PathLike) -> tuple[list[str], np.ndarray]:
     """Read a draws CSV: header row of column names, float data rows (read-only).
 
@@ -333,32 +349,93 @@ def _read_csv_table(path: str | os.PathLike) -> tuple[list[str], np.ndarray]:
     it is one the validating parser would return as well; any other file is
     read again by ``_read_csv_table_checked``, which is the only source of
     error messages.
+
+    A regular file's table is also saved beside it as the sidecar
+    ``<path>.<SHA-256 of the file's bytes>.npy``, and a later read of the
+    same bytes loads the sidecar in place of parsing the text. The file is
+    hashed in the pass that reads its header and again while it is parsed;
+    the sidecar is saved only when both digests agree, so it never holds a
+    table parsed from other bytes than its name says. Saving is best effort:
+    an OSError leaves no sidecar and changes nothing else.
     """
-    with open_text(path, MalformedCsv) as handle:
-        header = [cell.strip() for cell in next(csv.reader(handle), [])]
-        if header and all(header):
-            try:
-                # loadtxt warns on a file without data rows, which the checked
-                # parser reports as an error. comments=None: a row starting
-                # with '#' is malformed, not a comment.
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)
-                    values = np.loadtxt(
-                        handle, delimiter=",", comments=None, ndmin=2, dtype=float
-                    )
-            except ValueError:
-                pass
-            else:
-                if (
-                    values.shape[0] >= 1
-                    and values.shape[1] == len(header)
-                    and np.isfinite(values).all()
-                ):
-                    values.setflags(write=False)
-                    return header, values
-    header, values = _read_csv_table_checked(path)
+    sidecar = None
+    if os.path.isfile(path):
+        lookup = hashlib.sha256()
+        with open_text(path, MalformedCsv, lookup) as handle:
+            header = _header_row(handle)
+            _hash_rest(handle)
+        sidecar = f"{os.fspath(path)}.{lookup.hexdigest()}.npy"
+        values = _load_sidecar(sidecar, len(header)) if header and all(header) else None
+        if values is not None:
+            return header, values
+    parsed = hashlib.sha256()
+    with open_text(path, MalformedCsv, parsed) as handle:
+        header = _header_row(handle)
+        values = _parse_rows(handle, len(header)) if header and all(header) else None
+        if values is not None:
+            _hash_rest(handle)
+    if values is None:
+        header, values = _read_csv_table_checked(path)
+    elif sidecar == f"{os.fspath(path)}.{parsed.hexdigest()}.npy":
+        # the digest of the very bytes parsed names the sidecar, or none is saved
+        with suppress(OSError):
+            save_array(sidecar, values)
     values.setflags(write=False)
     return header, values
+
+
+def _parse_rows(handle, n_cols: int) -> np.ndarray | None:
+    """numpy's parse of the rows after the header, or None unless the checked
+    parser would return the same table: at least one row of ``n_cols``
+    finite values."""
+    try:
+        # loadtxt warns on a file without data rows, which the checked
+        # parser reports as an error. comments=None: a row starting
+        # with '#' is malformed, not a comment.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if values.shape[0] >= 1 and values.shape[1] == n_cols and np.isfinite(values).all():
+        return values
+    return None
+
+
+def _load_sidecar(path: str, n_cols: int) -> np.ndarray | None:
+    """The read-only table saved in ``path``, or None unless it is a valid one.
+
+    Valid is what ``np.save`` writes for a parsed table: a version 1.0
+    ``.npy`` header for a C-order ``<f8`` array of ``n_cols`` columns and at
+    least one row, followed by exactly that many bytes, every value finite.
+    The header is checked before any data is read, so no object array is
+    unpickled and nothing larger than the file is allocated.
+    """
+    try:
+        with open(path, "rb") as handle:
+            if np.lib.format.read_magic(handle) != (1, 0):
+                return None
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
+            if (
+                dtype != np.dtype("<f8")
+                or fortran_order
+                or len(shape) != 2
+                or shape[0] < 1
+                or shape[1] != n_cols
+            ):
+                return None
+            count = shape[0] * shape[1]
+            if os.fstat(handle.fileno()).st_size != handle.tell() + count * dtype.itemsize:
+                return None
+            values = np.fromfile(handle, dtype=dtype, count=count)
+    except (OSError, ValueError):
+        return None
+    # the size check also covers a file that shrank after fstat
+    if values.size != count or not np.isfinite(values).all():
+        return None
+    # read-only before the reshape, so no writable base is left under the view
+    values.setflags(write=False)
+    return values.reshape(shape)
 
 
 def _read_csv_table_checked(path: str | os.PathLike) -> tuple[list[str], np.ndarray]:
@@ -422,7 +499,8 @@ def load_samples(loglik_file: str | os.PathLike, metadata_file: str | os.PathLik
 
     The CSV header row gives observation ids; each subsequent row is one
     posterior draw. The metadata JSON must contain ``{"chains": [...]}``
-    with one label per draw.
+    with one label per draw. The parsed table may be saved beside the CSV as
+    a ``.npy`` sidecar that later loads of the same bytes read instead.
     """
     obs_ids, values = _read_csv_table(loglik_file)
     meta = _read_metadata(metadata_file, values.shape[0])
@@ -485,7 +563,8 @@ def load_predictive(
     ``families`` entry; binomial trial counts come from the metadata
     ``trials`` object. A ``normal_known_var`` variance is read from the
     ``<obs_id>.var`` columns, which must hold the same value in every draw
-    (to a relative 1e-9); the first draw's value is kept.
+    (to a relative 1e-9); the first draw's value is kept. The parsed table
+    may be saved beside the CSV as a ``.npy`` sidecar, as in ``load_samples``.
     """
     header, table = _read_csv_table(pred_file)
     meta = _read_metadata(metadata_file, table.shape[0])

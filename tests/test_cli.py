@@ -341,6 +341,30 @@ class TestBadInputsFailClosed:
         assert not out.exists()
 
 
+class TestByteOrderMark:
+    @pytest.mark.parametrize("name", ["loglik.csv", "predictive.csv", "metadata.json"])
+    def test_leading_mark_is_dropped(self, demo_corpus, tmp_path, name):
+        """An input that starts with a UTF-8 byte-order mark, as spreadsheet
+        programs write it, gives the artifacts of the same input without one."""
+        marked = tmp_path / "marked"
+        marked.mkdir()
+        for input_name in ("loglik.csv", "predictive.csv", "metadata.json"):
+            data = (demo_corpus / input_name).read_bytes()
+            prefix = b"\xef\xbb\xbf" if input_name == name else b""
+            (marked / input_name).write_bytes(prefix + data)
+        outputs = []
+        for corpus in (demo_corpus, marked):
+            out = tmp_path / corpus.name / "out"
+            assert main(["outliers", "--loglik", str(corpus / "loglik.csv"),
+                         "--meta", str(corpus / "metadata.json"),
+                         "--pred", str(corpus / "predictive.csv"), "--out", str(out)]) == 0
+            outputs.append(out)
+        for artifact in ("clout.csv", "scree.csv", "eigen.json"):
+            assert (outputs[0] / artifact).read_bytes() == (
+                outputs[1] / artifact
+            ).read_bytes(), artifact
+
+
 class TestSimulateAndPipeline:
     def run_pipeline(self, base, seed=42):
         corpus = base / "corpus"
@@ -641,6 +665,53 @@ class TestDeterminism:
         assert (diag1 / "influence_report.csv").read_bytes() != (
             diag2 / "influence_report.csv"
         ).read_bytes()
+
+    def test_warm_run_parses_no_text_and_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        """A second run of each diagnostic reads the sidecars the first run
+        left beside the input CSVs, never calls ``np.loadtxt``, and writes
+        every artifact byte for byte as the first did."""
+        corpus = tmp_path / "corpus"
+        assert main(["simulate", "--demo", "--draws", "600", "--chains", "4",
+                     "--out", str(corpus)]) == 0
+        obs_ids = (corpus / "loglik.csv").read_text().split("\n", 1)[0].split(",")
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({obs: f"g{i % 4}" for i, obs in enumerate(obs_ids)}))
+        loglik, meta, pred = (
+            str(corpus / name) for name in ("loglik.csv", "metadata.json", "predictive.csv")
+        )
+        commands = {
+            "influence": ["--loglik", loglik, "--meta", meta],
+            "leverage": ["--pred", pred, "--meta", meta],
+            "outliers": ["--loglik", loglik, "--meta", meta, "--pred", pred],
+            "conflict": ["--loglik", loglik, "--meta", meta, "--groups", str(groups)],
+        }
+
+        def run(name):
+            for command, inputs in commands.items():
+                out = tmp_path / name / command
+                assert main([command, *inputs, "--out", str(out)]) == 0
+            return tmp_path / name
+
+        cold = run("cold")
+        assert sorted(p.name.split(".")[0] for p in corpus.glob("*.npy")) == [
+            "loglik", "predictive"]
+        parses = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(
+            np, "loadtxt", lambda *a, **k: parses.append(a) or loadtxt(*a, **k)
+        )
+        warm = run("warm")
+        assert parses == []
+        compared = 0
+        for command in commands:
+            names = sorted(p.name for p in (cold / command).iterdir())
+            assert names == sorted(p.name for p in (warm / command).iterdir())
+            for name in names:
+                assert (cold / command / name).read_bytes() == (
+                    warm / command / name
+                ).read_bytes(), name
+                compared += 1
+        assert compared == 11
 
     def test_bytes_independent_of_blas_thread_count(self, tmp_path):
         """The demo pipeline writes the same outlier artifacts under 1 and 2

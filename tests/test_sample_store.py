@@ -1,5 +1,9 @@
 """Ingestion, validation, and group-aggregation tests."""
 
+import hashlib
+import io
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,6 +24,7 @@ from bayeslens.errors import (
     UncoveredObsId,
     UnknownObsId,
 )
+from bayeslens import io_utils, sample_store
 from bayeslens.io_utils import dump_json, format_float, write_csv_rows
 from bayeslens.sample_store import (
     _read_csv_table,
@@ -159,7 +164,9 @@ def draws_csv_text(draw):
     line = st.one_of(*[row] * 6, ragged, st.sampled_from(BLANK_LINES))
     lines = [",".join(names)] + draw(st.lists(line, min_size=1, max_size=5))
     eol = draw(st.sampled_from(["\n", "\r\n"]))
-    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+    # a byte-order mark, as spreadsheet programs write before UTF-8 text
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + eol.join(lines) + draw(st.sampled_from(["", eol]))
 
 
 def _parse_outcome(reader, path):
@@ -168,6 +175,15 @@ def _parse_outcome(reader, path):
     except DiagnosticsError as exc:
         return type(exc), str(exc)
     return header, values.shape, values.tobytes()
+
+
+def sidecars(directory):
+    return sorted(p.name for p in directory.iterdir() if p.name.endswith(".npy"))
+
+
+def sidecar_of(path):
+    """The sidecar path for the bytes ``path`` holds now."""
+    return path.parent / f"{path.name}.{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"
 
 
 class TestParsersAgree:
@@ -179,12 +195,17 @@ class TestParsersAgree:
     )
     @given(text=draws_csv_text())
     def test_fast_and_checked_parsers_agree(self, tmp_path, text):
-        """Both parsers return the same bits, or raise the same error."""
+        """Both parsers return the same bits, or raise the same error, on a
+        cold read and on a warm read after it."""
         path = tmp_path / "draws.csv"
+        for name in sidecars(tmp_path):
+            (tmp_path / name).unlink()
         path.write_bytes(text.encode("utf-8"))
-        assert _parse_outcome(_read_csv_table, path) == _parse_outcome(
-            _read_csv_table_checked, path
-        )
+        checked = _parse_outcome(_read_csv_table_checked, path)
+        assert _parse_outcome(_read_csv_table, path) == checked
+        if isinstance(checked[0], type):
+            assert sidecars(tmp_path) == []
+        assert _parse_outcome(_read_csv_table, path) == checked
 
 
 class TestRoundTrip:
@@ -299,6 +320,202 @@ class TestAtomicWrites:
         write_csv_rows(target, ["obs_id", "x"], "%s,%.17g", [("a", 0.1), ("b", -0.0)])
         assert target.read_text() == "obs_id,x\na,0.10000000000000001\nb,-0\n"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
+
+
+TABLE_CSV = "a,b\n0.5,1.25\n2.5,3.75\n"
+
+
+def npy_bytes(array, version=None):
+    """The ``.npy`` file of ``array``, as ``np.save`` writes it by default."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, version=version)
+    return buffer.getvalue()
+
+
+TABLE = np.array([[0.5, 1.25], [2.5, 3.75]])
+
+# Each maps the good sidecar's bytes to a file that must not be trusted.
+BAD_SIDECARS = {
+    "empty": lambda good: b"",
+    "garbage": lambda good: b"not a numpy file\n",
+    "truncated": lambda good: good[:-8],
+    "extended": lambda good: good + bytes(8),
+    "wrong_shape": lambda good: npy_bytes(np.ones((2, 3))),
+    "one_dimensional": lambda good: npy_bytes(TABLE.ravel()),
+    "no_rows": lambda good: npy_bytes(np.ones((0, 2))),
+    "non_finite": lambda good: npy_bytes(np.array([[0.5, np.inf], [2.5, 3.75]])),
+    "float32": lambda good: npy_bytes(TABLE.astype(np.float32)),
+    "big_endian": lambda good: npy_bytes(TABLE.astype(">f8")),
+    "fortran_order": lambda good: npy_bytes(np.asfortranarray(TABLE)),
+    "object": lambda good: npy_bytes(TABLE.astype(object)),
+    "version_2": lambda good: npy_bytes(TABLE, version=(2, 0)),
+}
+
+
+def count_loadtxt(monkeypatch):
+    """A list that gains one entry per ``np.loadtxt`` call from now on."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
+
+
+def table_outcome(path):
+    header, values = _read_csv_table(path)
+    return header, values.dtype.str, values.shape, values.tobytes(), values.flags.writeable
+
+
+def write_draws(tmp_path, kind, random_predictive):
+    rng = np.random.default_rng(12)
+    if kind == "loglik":
+        data = LogLikSamples(
+            values=rng.standard_normal((40, 3)),
+            draw_chain=np.repeat([0, 1], 20),
+            obs_ids=("a", "b", "c"),
+        )
+        write_loglik_csv(data, tmp_path / "draws.csv")
+    else:
+        data = random_predictive(kind, rng, 40, 3)
+        write_predictive_csv(data, tmp_path / "draws.csv")
+    write_metadata_json(data, tmp_path / "meta.json")
+    return tmp_path / "draws.csv"
+
+
+def load_draws(tmp_path, kind):
+    if kind == "loglik":
+        return load_samples(tmp_path / "draws.csv", tmp_path / "meta.json")
+    return load_predictive(tmp_path / "draws.csv", tmp_path / "meta.json")
+
+
+def container_state(container):
+    """Each field of a container; an array as its dtype, shape, strides and bytes."""
+    return {
+        name: (value.dtype.str, value.shape, value.strides, value.tobytes(),
+               value.flags.writeable)
+        if isinstance(value, np.ndarray) else value
+        for name, value in vars(container).items()
+    }
+
+
+class TestSidecar:
+    """A parsed table is saved beside its CSV and read back in place of the text."""
+
+    @pytest.mark.parametrize("kind", ["loglik", "normal", "normal_known_var", "binomial"])
+    def test_warm_load_is_bit_identical(self, tmp_path, random_predictive, monkeypatch, kind):
+        csv_path = write_draws(tmp_path, kind, random_predictive)
+        cold = load_draws(tmp_path, kind)
+        assert sidecars(tmp_path) == [sidecar_of(csv_path).name]
+        calls = count_loadtxt(monkeypatch)
+        warm = load_draws(tmp_path, kind)
+        assert calls == []
+        assert container_state(warm) == container_state(cold)
+        if kind == "normal_known_var":
+            # the means stay a strided view of the (S, 2n) table
+            assert not warm.params.flags.c_contiguous
+
+    def test_sidecar_holds_the_table_as_npy(self, tmp_path):
+        csv_path = tmp_path / "draws.csv"
+        csv_path.write_text(TABLE_CSV)
+        _read_csv_table(csv_path)
+        assert sidecar_of(csv_path).read_bytes() == npy_bytes(TABLE)
+
+    def test_edited_csv_is_parsed_again(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "draws.csv"
+        csv_path.write_text(TABLE_CSV)
+        first = sidecar_of(csv_path)
+        _read_csv_table(csv_path)
+        edited = TABLE_CSV.replace("3.75", "3.76")
+        csv_path.write_text(edited)
+        calls = count_loadtxt(monkeypatch)
+        header, values = _read_csv_table(csv_path)
+        assert len(calls) == 1
+        assert values.tolist() == [[0.5, 1.25], [2.5, 3.76]]
+        assert sidecars(tmp_path) == sorted([first.name, sidecar_of(csv_path).name])
+
+    @pytest.mark.parametrize("corrupt", sorted(BAD_SIDECARS))
+    def test_bad_sidecar_is_a_miss_and_replaced(self, tmp_path, monkeypatch, corrupt):
+        csv_path = tmp_path / "draws.csv"
+        csv_path.write_text(TABLE_CSV)
+        expected = table_outcome(csv_path)
+        sidecar = sidecar_of(csv_path)
+        good = sidecar.read_bytes()
+        sidecar.write_bytes(BAD_SIDECARS[corrupt](good))
+        calls = count_loadtxt(monkeypatch)
+        assert table_outcome(csv_path) == expected
+        assert len(calls) == 1
+        assert sidecar.read_bytes() == good
+
+    @pytest.mark.parametrize("failure", ["open", "save", "replace"])
+    def test_failed_save_changes_nothing(self, tmp_path, monkeypatch, failure):
+        """The load returns its table and leaves no file behind. Root ignores
+        file modes, so the failures are injected."""
+        csv_path = tmp_path / "draws.csv"
+        csv_path.write_text(TABLE_CSV)
+
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        if failure == "open":
+            real_open = open
+
+            def no_new_files(file, mode="r", *args, **kwargs):
+                if "x" in mode:
+                    raise PermissionError(13, "Permission denied", file)
+                return real_open(file, mode, *args, **kwargs)
+
+            monkeypatch.setattr(io_utils, "open", no_new_files, raising=False)
+        elif failure == "save":
+            def partial_save(handle, values, **kwargs):
+                handle.write(b"\x93NUMPY")
+                disk_full()
+
+            monkeypatch.setattr(np, "save", partial_save)
+        else:
+            monkeypatch.setattr(os, "replace", disk_full)
+        assert table_outcome(csv_path) == (["a", "b"], "<f8", (2, 2), TABLE.tobytes(), False)
+        assert [p.name for p in tmp_path.iterdir()] == ["draws.csv"]
+
+    def test_csv_changed_between_hash_and_parse_gets_no_sidecar(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "draws.csv"
+        csv_path.write_text(TABLE_CSV)
+        lookup = sample_store._load_sidecar
+
+        def rewrite_then_lookup(path, n_cols):
+            csv_path.write_text(TABLE_CSV.replace("3.75", "3.76"))
+            return lookup(path, n_cols)
+
+        monkeypatch.setattr(sample_store, "_load_sidecar", rewrite_then_lookup)
+        header, values = _read_csv_table(csv_path)
+        assert values.tolist() == [[0.5, 1.25], [2.5, 3.76]]
+        assert sidecars(tmp_path) == []
+
+    def test_failed_parse_gets_no_sidecar(self, tmp_path):
+        csv_path = tmp_path / "draws.csv"
+        csv_path.write_text("a,b\n0.5,1.25\n2.5,x\n")
+        for _ in range(2):
+            with pytest.raises(MalformedCsv, match="non-numeric cell at data row 2"):
+                _read_csv_table(csv_path)
+            assert sidecars(tmp_path) == []
+
+    def test_fifo_is_read_once_without_sidecar(self, tmp_path):
+        fifo = tmp_path / "draws.csv"
+        os.mkfifo(fifo)
+        threading.Thread(target=fifo.write_text, args=(TABLE_CSV,), daemon=True).start()
+        result = []
+        reader = threading.Thread(
+            target=lambda: result.append(table_outcome(fifo)), daemon=True
+        )
+        reader.start()
+        reader.join(timeout=60)
+        # a second open of the FIFO would wait for a writer that never comes
+        assert not reader.is_alive()
+        assert result == [(["a", "b"], "<f8", (2, 2), TABLE.tobytes(), False)]
+        assert sidecars(tmp_path) == []
 
 
 class TestAggregate:
@@ -430,10 +647,22 @@ def traced_peak(load):
         tracemalloc.stop()
 
 
-class TestLoaderMemory:
-    """The loaders hand the parsed table to the container: no gathered or kept copy."""
+def traced_load(directory, warm, load):
+    """``traced_peak(load)``, after a first ``load()`` that saves a sidecar if ``warm``."""
+    if warm:
+        load()
+        assert sidecars(directory)
+    else:
+        assert sidecars(directory) == []
+    return traced_peak(load)
 
-    def test_load_samples_peak(self, tmp_path):
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+class TestLoaderMemory:
+    """The loaders hand the parsed or saved table to the container: no gathered
+    or kept copy. A warm load reads the table from the sidecar a first load left."""
+
+    def test_load_samples_peak(self, tmp_path, warm):
         samples = LogLikSamples(
             values=np.random.default_rng(9).standard_normal((8000, 40)),
             draw_chain=np.repeat(np.arange(4), 2000),
@@ -441,29 +670,32 @@ class TestLoaderMemory:
         )
         write_loglik_csv(samples, tmp_path / "loglik.csv")
         write_metadata_json(samples, tmp_path / "meta.json")
-        loaded, peak = traced_peak(
-            lambda: load_samples(tmp_path / "loglik.csv", tmp_path / "meta.json")
+        loaded, peak = traced_load(
+            tmp_path, warm,
+            lambda: load_samples(tmp_path / "loglik.csv", tmp_path / "meta.json"),
         )
         np.testing.assert_array_equal(loaded.values, samples.values)
         assert peak <= 1.5 * loaded.values.nbytes
 
-    def test_load_predictive_peak(self, tmp_path, random_predictive):
+    def test_load_predictive_peak(self, tmp_path, random_predictive, warm):
         pred = random_predictive("normal", np.random.default_rng(10), 8000, 40)
         write_predictive_csv(pred, tmp_path / "pred.csv")
         write_metadata_json(pred, tmp_path / "meta.json")
-        loaded, peak = traced_peak(
-            lambda: load_predictive(tmp_path / "pred.csv", tmp_path / "meta.json")
+        loaded, peak = traced_load(
+            tmp_path, warm,
+            lambda: load_predictive(tmp_path / "pred.csv", tmp_path / "meta.json"),
         )
         np.testing.assert_array_equal(loaded.params, pred.params)
         assert peak <= 1.5 * loaded.params.nbytes
 
-    def test_load_known_variance_peak(self, tmp_path, random_predictive):
+    def test_load_known_variance_peak(self, tmp_path, random_predictive, warm):
         """The means are passed on as a view of the parsed (S, 2n) table."""
         pred = random_predictive("normal_known_var", np.random.default_rng(11), 8000, 40)
         write_predictive_csv(pred, tmp_path / "pred.csv")
         write_metadata_json(pred, tmp_path / "meta.json")
-        loaded, peak = traced_peak(
-            lambda: load_predictive(tmp_path / "pred.csv", tmp_path / "meta.json")
+        loaded, peak = traced_load(
+            tmp_path, warm,
+            lambda: load_predictive(tmp_path / "pred.csv", tmp_path / "meta.json"),
         )
         np.testing.assert_array_equal(loaded.params, pred.params)
         np.testing.assert_array_equal(loaded.fixed, pred.fixed)
