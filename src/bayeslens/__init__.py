@@ -7,15 +7,11 @@ from .influence import (
     CrossConflict,
     InfluenceReport,
     Perturbation,
-    binomial_pw,
+    bernoulli_pw,
     clinf_direction,
-    conflict_ratio,
     cross_conflict,
-    dinf,
     influence_report,
-    linf,
     loglik_covariance,
-    p_v,
 )
 from .leverage import (
     HatValues,
@@ -68,25 +64,21 @@ __all__ = [
     "PredictiveDraws",
     "aggregate",
     "aggregate_hat_values",
-    "binomial_pw",
+    "bernoulli_pw",
     "clinf_direction",
     "cllev_direction",
     "clout_direction",
-    "conflict_ratio",
     "cross_conflict",
-    "dinf",
     "exact_sampler",
     "family_kl",
     "fit",
     "hat_values",
     "influence_report",
-    "linf",
     "load_predictive",
     "load_samples",
     "loglik_covariance",
     "mc_kl",
     "outlier_matrix",
-    "p_v",
     "plant_anomalies",
     "random_spec",
     "scree",

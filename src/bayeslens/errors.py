@@ -54,14 +54,6 @@ class ZeroPerturbation(DiagnosticsError):
     """A perturbation direction must have at least one nonzero entry."""
 
 
-class CountOutOfRange(DiagnosticsError):
-    """A count is negative, exceeds its trial total, or trials < 1."""
-
-
-class ProbabilityOutOfRange(DiagnosticsError):
-    """A probability lies outside the open interval (0, 1)."""
-
-
 # leverage ---------------------------------------------------------------------
 
 class InvalidParameter(DiagnosticsError):

@@ -1,4 +1,4 @@
-"""Predictive families: parameter columns, domains, closed-form KL, sampler, log-density.
+"""Predictive families: parameter columns, domains and closed-form KL.
 
 ``FAMILIES`` is the one table of families and ``check_params`` the one
 domain check. Parameter arrays hold a family's per-draw parameters on their
@@ -20,14 +20,11 @@ from .errors import DiagnosticsError, InvalidParameter
 @dataclass(frozen=True)
 class Family:
     """Per-draw parameter names, the name of the per-observation constant
-    (``None`` when there is none), and ``kl(p1, p2, fixed)``,
-    ``sample(rng, p, fixed)`` and ``logpdf(outcome, p, fixed)``, each
-    vectorized over the leading axes."""
+    (``None`` when there is none), and ``kl(p1, p2, fixed)``, vectorized
+    over the leading axes."""
 
     params: tuple[str, ...]
     kl: Callable
-    sample: Callable
-    logpdf: Callable
     fixed: str | None = None
 
 
@@ -40,28 +37,9 @@ def _kl_normal(p1, p2, fixed):
     return 0.5 * (np.log(var2 / var1) + (var1 + (mean1 - mean2) ** 2) / var2 - 1.0)
 
 
-def _normal_logpdf(outcome, mean, var):
-    return -0.5 * np.log(2.0 * np.pi * var) - (outcome - mean) ** 2 / (2.0 * var)
-
-
-def _logpdf_normal(outcome, p, fixed):
-    return _normal_logpdf(outcome, p[..., 0], p[..., 1])
-
-
-def _logpdf_normal_known_var(outcome, p, var):
-    return _normal_logpdf(outcome, p[..., 0], var)
-
-
 def _kl_poisson(p1, p2, fixed):
     rate1, rate2 = p1[..., 0], p2[..., 0]
     return rate1 * np.log(rate1 / rate2) - rate1 + rate2
-
-
-def _logpdf_poisson(outcome, p, fixed):
-    # scipy.special loads on first use: the normal families never need it
-    from scipy.special import gammaln
-    rate = p[..., 0]
-    return outcome * np.log(rate) - rate - gammaln(outcome + 1.0)
 
 
 def _kl_binomial(p1, p2, trials):
@@ -72,19 +50,8 @@ def _kl_binomial(p1, p2, trials):
     return trials * per_trial
 
 
-def _logpdf_binomial(outcome, p, trials):
-    from scipy.special import gammaln
-    prob = p[..., 0]
-    return (
-        gammaln(trials + 1.0)
-        - gammaln(outcome + 1.0)
-        - gammaln(trials - outcome + 1.0)
-        + outcome * np.log(prob)
-        + (trials - outcome) * np.log1p(-prob)
-    )
-
-
 def _kl_gamma(p1, p2, fixed):
+    # scipy.special loads on first use: the other families never need it
     from scipy.special import digamma, gammaln
     shape1, rate1, shape2, rate2 = p1[..., 0], p1[..., 1], p2[..., 0], p2[..., 1]
     return (
@@ -96,45 +63,12 @@ def _kl_gamma(p1, p2, fixed):
     )
 
 
-def _logpdf_gamma(outcome, p, fixed):
-    from scipy.special import gammaln
-    shape, rate = p[..., 0], p[..., 1]
-    return (
-        shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(outcome) - rate * outcome
-    )
-
-
-def _sample_normal(rng, p, fixed):
-    return rng.normal(p[..., 0], np.sqrt(p[..., 1]))
-
-
-def _sample_normal_known_var(rng, p, var):
-    return rng.normal(p[..., 0], np.sqrt(var))
-
-
-def _sample_poisson(rng, p, fixed):
-    return rng.poisson(p[..., 0]).astype(float)
-
-
-def _sample_binomial(rng, p, trials):
-    return rng.binomial(trials, p[..., 0]).astype(float)
-
-
-def _sample_gamma(rng, p, fixed):
-    return rng.gamma(p[..., 0], 1.0 / p[..., 1])
-
-
 FAMILIES: dict[str, Family] = {
-    "normal_known_var": Family(
-        ("mean",), _kl_normal_known_var, _sample_normal_known_var,
-        _logpdf_normal_known_var, fixed="var",
-    ),
-    "normal": Family(("mean", "var"), _kl_normal, _sample_normal, _logpdf_normal),
-    "poisson": Family(("rate",), _kl_poisson, _sample_poisson, _logpdf_poisson),
-    "binomial": Family(
-        ("prob",), _kl_binomial, _sample_binomial, _logpdf_binomial, fixed="trials"
-    ),
-    "gamma": Family(("shape", "rate"), _kl_gamma, _sample_gamma, _logpdf_gamma),
+    "normal_known_var": Family(("mean",), _kl_normal_known_var, fixed="var"),
+    "normal": Family(("mean", "var"), _kl_normal),
+    "poisson": Family(("rate",), _kl_poisson),
+    "binomial": Family(("prob",), _kl_binomial, fixed="trials"),
+    "gamma": Family(("shape", "rate"), _kl_gamma),
 }
 
 

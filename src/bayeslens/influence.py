@@ -21,14 +21,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    CountOutOfRange,
     DegenerateSample,
     InvalidParameter,
-    ProbabilityOutOfRange,
     TooFewDrawsForMcse,
     ZeroPerturbation,
     ZeroTrace,
 )
+from .families import check_params
 from .sample_store import (
     GroupMap,
     LogLikSamples,
@@ -104,12 +103,6 @@ def loglik_covariance(samples: LogLikSamples) -> CovMatrix:
     _require_draws(samples.values)
     cov = np.atleast_2d(np.cov(samples.values, rowvar=False, ddof=1))
     return CovMatrix(matrix=cov, obs_ids=samples.obs_ids)
-
-
-def linf(samples: LogLikSamples) -> np.ndarray:
-    """Local influence per observation: posterior variance of its log-likelihood."""
-    _require_draws(samples.values)
-    return samples.values.var(axis=0, ddof=1)
 
 
 class _Sums(NamedTuple):
@@ -204,19 +197,6 @@ def _pool(blocks: list[_Moments]) -> _Moments:
     )
 
 
-def dinf(samples: LogLikSamples) -> np.ndarray:
-    """Doubling influence per observation: twice the KL divergence from
-    doubling its case weight, i.e. twice the Jensen gap of its likelihood draws."""
-    _require_draws(samples.values)
-    return _block_moments(samples.values, np.empty(samples.values.shape)).dinf()
-
-
-def p_v(samples: LogLikSamples) -> float:
-    """Total-variance penalty: twice the variance of the per-draw total log-likelihood."""
-    _require_draws(samples.values)
-    return 2.0 * float(samples.values.sum(axis=1).var(ddof=1))
-
-
 def clinf_direction(cov, eps) -> float:
     """Conformal local influence of a direction: eps'V eps / (tr(V) eps'eps)."""
     matrix = cov.matrix if isinstance(cov, CovMatrix) else np.asarray(cov, dtype=float)
@@ -225,14 +205,6 @@ def clinf_direction(cov, eps) -> float:
         raise ZeroTrace("trace of the covariance is zero: all log-likelihoods constant")
     vec = _as_direction(eps, matrix.shape[0])
     return float(vec @ matrix @ vec) / (trace * float(vec @ vec))
-
-
-def conflict_ratio(samples: LogLikSamples) -> float:
-    """Prior-data conflict diagnostic: p_v / p_w."""
-    p_w = float(linf(samples).sum())
-    if p_w <= 0.0:
-        raise ZeroTrace("p_w is zero: all log-likelihood contributions constant")
-    return p_v(samples) / p_w
 
 
 @dataclass(frozen=True)
@@ -290,35 +262,26 @@ def cross_conflict(
     )
 
 
-def binomial_pw(y, m, pi_draws, variant: str = "binomial") -> np.ndarray:
-    """Per-observation WAIC-penalty contribution for binomial outcomes.
-
-    ``variant="binomial"`` treats each outcome as the smallest observational
-    unit (variance of its full log-likelihood). ``variant="bernoulli"``
-    decomposes it into individually perturbable trials:
+def bernoulli_pw(y, m, pi_draws) -> np.ndarray:
+    """Per-observation WAIC-penalty contribution of binomial outcomes, each
+    decomposed into individually perturbable Bernoulli trials:
     y * Var(log pi) + (m - y) * Var(log(1 - pi)).
+
+    ``pi_draws`` is (draws x observations); ``y`` and ``m`` hold each
+    observation's successes and trials.
     """
     y = np.asarray(y, dtype=float).ravel()
     m = np.asarray(m, dtype=float).ravel()
     pi_draws = np.asarray(pi_draws, dtype=float)
     if pi_draws.ndim != 2 or pi_draws.shape[1] != y.shape[0] or m.shape != y.shape:
         raise InvalidParameter("pi_draws must be (draws x observations) matching y and m")
-    if pi_draws.shape[0] < 2:
-        raise DegenerateSample("need at least 2 draws")
-    if np.any(m < 1):
-        raise CountOutOfRange("trial counts must be >= 1")
+    _require_draws(pi_draws)
+    check_params("binomial", pi_draws[..., None], m)
     if np.any(y < 0) or np.any(y > m):
-        raise CountOutOfRange("counts must satisfy 0 <= y <= m")
-    if not (np.all(pi_draws > 0) and np.all(pi_draws < 1)):
-        raise ProbabilityOutOfRange("probabilities must lie in (0, 1)")
-    if variant == "binomial":
-        loglik = y * np.log(pi_draws) + (m - y) * np.log1p(-pi_draws)
-        return loglik.var(axis=0, ddof=1)
-    if variant == "bernoulli":
-        var_success = np.log(pi_draws).var(axis=0, ddof=1)
-        var_failure = np.log1p(-pi_draws).var(axis=0, ddof=1)
-        return y * var_success + (m - y) * var_failure
-    raise InvalidParameter(f"unknown variant '{variant}'")
+        raise InvalidParameter("counts must satisfy 0 <= y <= m")
+    var_success = np.log(pi_draws).var(axis=0, ddof=1)
+    var_failure = np.log1p(-pi_draws).var(axis=0, ddof=1)
+    return y * var_success + (m - y) * var_failure
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,11 @@ The hat-value of an observation is the average Kullback-Leibler divergence
 between its replicate predictive distributions under two independent
 posterior draws. Draws are split into two streams (parallel chains, or a
 half-split of a single chain), shuffled with a seeded generator to break
-residual alignment, and paired index-by-index. The KL integrand is closed
-form for every supported predictive family; an unbiased Monte Carlo
-fallback over replicate outcomes is available as well. Each block of pairs
-is folded into running moments, so the scratch is a few blocks of about
-1 MB whatever the number of draws; the MCSEs may therefore differ from a
-one-pass standard deviation by round-off.
+residual alignment, and paired index-by-index. The KL is in closed form for
+every supported predictive family. Each block of pairs is folded into
+running moments, so the scratch is a few blocks of about 1 MB whatever the
+number of draws; the MCSEs may therefore differ from a one-pass standard
+deviation by round-off.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -90,9 +88,8 @@ class HatValues:
     ``p_d_star`` is the sum of the hat-values (an effective number of
     parameters); ``cllev`` holds each observation's share of it (NaN when
     total leverage is zero). ``negative_pairs`` counts per observation how
-    many pairwise estimates were negative before flooring: the Monte Carlo
-    path produces them by chance, and the closed form through round-off on
-    near-identical pairs.
+    many pairwise KLs were negative before flooring, which round-off produces
+    on near-identical pairs.
     """
 
     obs_ids: tuple[str, ...]
@@ -124,22 +121,11 @@ def _split_streams(draw_chain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _PAIR_BLOCK_BYTES = 1 << 20
 
 
-def _pair_mc_kl(rng, family, params1, params2, fixed, replicates):
-    total = np.zeros(params1.shape[:2])
-    for _ in range(replicates):
-        outcome = family.sample(rng, params1, fixed)
-        total += family.logpdf(outcome, params1, fixed)
-        total -= family.logpdf(outcome, params2, fixed)
-    return total / replicates
-
-
 def hat_values(
     pred: PredictiveDraws,
     *,
     seed: int = 0,
     symmetrize: bool = False,
-    force_mc: bool = False,
-    mc_replicates: int = 64,
 ) -> HatValues:
     """Estimate per-observation hat-values by pairing two draw streams.
 
@@ -147,12 +133,9 @@ def hat_values(
     and the rest stream two; a single chain is split in half with a warning.
     Streams are shuffled independently (seeded), truncated to the shorter
     length M, and the family KL divergence is averaged over the M pairs.
-    ``symmetrize`` averages both KL directions. ``force_mc`` replaces the
-    closed form with the unbiased replicate estimator (``mc_replicates``
-    outcomes per pair), whose pair averages may dip below zero; negative
-    hat-values are floored at zero and counted. The pairs are evaluated in
-    blocks of rows, and the replicate outcomes are drawn block by block, so
-    the Monte Carlo values for a seed depend on the block size.
+    ``symmetrize`` averages both KL directions. Round-off can make the KL
+    of a near-identical pair negative; such pairs are counted, and negative
+    hat-values are floored at zero.
 
     Each block is folded into running moments rather than kept. The
     hat-values are bit-identical to the column means of the array of all
@@ -170,10 +153,7 @@ def hat_values(
     rows1 = idx1[rng.permutation(idx1.shape[0])][:n_pairs]
     rows2 = idx2[rng.permutation(idx2.shape[0])][:n_pairs]
     # the draws were checked when ``pred`` was built, so no pair is re-checked
-    family = FAMILIES[pred.family]
-    kl = family.kl
-    if force_mc:
-        kl = partial(_pair_mc_kl, rng, family, replicates=mc_replicates)
+    kl = FAMILIES[pred.family].kl
     # Pairs are gathered and evaluated a block at a time, and each block is
     # folded into running moments, so neither a permuted copy of the params
     # nor an array of all pair values is made. The KL is elementwise:

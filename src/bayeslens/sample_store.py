@@ -17,6 +17,7 @@ import itertools
 import math
 import numbers
 import os
+import re
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -355,8 +356,9 @@ def _read_csv_table(path: str | os.PathLike) -> tuple[list[str], np.ndarray]:
     same bytes loads the sidecar in place of parsing the text. The file is
     hashed in the pass that reads its header and again while it is parsed;
     the sidecar is saved only when both digests agree, so it never holds a
-    table parsed from other bytes than its name says. Saving is best effort:
-    an OSError leaves no sidecar and changes nothing else.
+    table parsed from other bytes than its name says. Once it is saved, the
+    sidecars of earlier contents of the file are removed. Saving and removing
+    are best effort: an OSError leaves no sidecar or keeps an old one.
     """
     sidecar = None
     if os.path.isfile(path):
@@ -380,8 +382,20 @@ def _read_csv_table(path: str | os.PathLike) -> tuple[list[str], np.ndarray]:
         # the digest of the very bytes parsed names the sidecar, or none is saved
         with suppress(OSError):
             save_array(sidecar, values)
+            _remove_stale_sidecars(path, sidecar)
     values.setflags(write=False)
     return header, values
+
+
+def _remove_stale_sidecars(path: str | os.PathLike, keep: str) -> None:
+    """Remove the sidecars beside ``path``, files named ``<basename>.<64
+    lowercase hex>.npy``, other than ``keep``."""
+    directory, base = os.path.split(os.fspath(path))
+    stale = re.compile(re.escape(base) + r"\.[0-9a-f]{64}\.npy")
+    for name in os.listdir(directory or "."):
+        if stale.fullmatch(name) and name != os.path.basename(keep):
+            with suppress(OSError):
+                os.remove(os.path.join(directory, name))
 
 
 def _parse_rows(handle, n_cols: int) -> np.ndarray | None:

@@ -24,11 +24,9 @@ from bayeslens import (
     fit,
     hat_values,
     influence_report,
-    linf,
     loglik_covariance,
     mc_kl,
     outlier_matrix,
-    p_v,
     plant_anomalies,
     random_spec,
     truncated_clout,
@@ -149,18 +147,17 @@ def test_criterion_4_identity_suite():
             obs_ids=tuple(f"o{i}" for i in range(n_obs)),
         )
         cov = loglik_covariance(samples)
-        linf_vec = linf(samples)
-        total_pw = float(linf_vec.sum())
+        report = influence_report(samples)
         ones = np.ones(n_obs)
 
         # p_v = 2 * ones' V ones through both code paths
-        lhs = p_v(samples)
+        lhs = report.p_v
         rhs = 2.0 * float(ones @ cov.matrix @ ones)
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
         # clinf(ones) = p_v / (2 n p_w)
         lhs = clinf_direction(cov, Perturbation.ones(n_obs))
-        rhs = p_v(samples) / (2.0 * n_obs * total_pw)
+        rhs = report.p_v / (2.0 * n_obs * report.p_w)
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
         # conformal shares both sum to one
@@ -177,7 +174,7 @@ def test_criterion_4_identity_suite():
 
         # clout_i = clinf_i / cllev_i
         decomposition = outlier_matrix(cov, hat_vec)
-        clinf_shares = linf_vec / total_pw
+        clinf_shares = report.clinf
         cllev_shares = hat_vec / hat_vec.sum()
         np.testing.assert_allclose(
             decomposition.clout, clinf_shares / cllev_shares, rtol=1e-10

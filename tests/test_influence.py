@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,21 +16,16 @@ from bayeslens import (
     LogLikSamples,
     Perturbation,
     aggregate,
-    binomial_pw,
+    bernoulli_pw,
     clinf_direction,
-    conflict_ratio,
     cross_conflict,
-    dinf,
     influence_report,
-    linf,
     loglik_covariance,
-    p_v,
 )
 from bayeslens.errors import (
-    CountOutOfRange,
     DegenerateSample,
     InvalidParameter,
-    ProbabilityOutOfRange,
+    TooFewDrawsForMcse,
     ZeroPerturbation,
     ZeroTrace,
 )
@@ -44,6 +40,19 @@ def make(values, chains=None, ids=None):
     chains = chains if chains is not None else [0] * values.shape[0]
     ids = ids if ids is not None else tuple(f"o{i}" for i in range(values.shape[1]))
     return LogLikSamples(values=values, draw_chain=chains, obs_ids=ids)
+
+
+def report_of(samples):
+    """``influence_report(samples)``, also for samples too short for MCSEs."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TooFewDrawsForMcse)
+        return influence_report(samples)
+
+
+def one_pass(samples):
+    """``linf`` and ``dinf`` of the whole draw array taken as one block."""
+    whole = _block_moments(samples.values, np.empty(samples.values.shape))
+    return whole.linf(), whole.dinf()
 
 
 class TestCovariance:
@@ -75,20 +84,20 @@ class TestCovariance:
 
 class TestLinf:
     def test_hand_example(self):
-        values = linf(make(TOY))
+        values = report_of(make(TOY)).linf
         np.testing.assert_allclose(values, [1.0, 4.0], rtol=1e-15)
         assert float(values.sum()) == pytest.approx(5.0)
 
     def test_constant_column(self):
-        values = linf(make([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]))
+        values = report_of(make([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])).linf
         assert values[1] == 0.0
 
     def test_duplicated_draws_rescale_by_denominator(self):
         """Doubling every draw only changes the S-1 denominator factor."""
         rng = np.random.default_rng(5)
         values = rng.standard_normal((9, 3))
-        base = linf(make(values))
-        doubled = linf(make(np.vstack([values, values]), chains=[0] * 18))
+        base = influence_report(make(values)).linf
+        doubled = influence_report(make(np.vstack([values, values]), chains=[0] * 18)).linf
         n = values.shape[0]
         np.testing.assert_allclose(
             doubled, base * 2.0 * (n - 1) / (2 * n - 1), rtol=1e-12
@@ -98,7 +107,8 @@ class TestLinf:
         rng = np.random.default_rng(6)
         samples = make(rng.standard_normal((30, 5)))
         np.testing.assert_allclose(
-            linf(samples), np.diag(loglik_covariance(samples).matrix), rtol=1e-12
+            influence_report(samples).linf, np.diag(loglik_covariance(samples).matrix),
+            rtol=1e-12,
         )
 
 
@@ -109,24 +119,25 @@ class TestDinf:
         expected = 2.0 * (
             math.log(0.375) - (math.log(0.5) + math.log(0.25)) / 2.0
         )
-        np.testing.assert_allclose(dinf(make(column)), [expected], rtol=1e-12)
+        np.testing.assert_allclose(report_of(make(column)).dinf, [expected], rtol=1e-12)
         assert expected == pytest.approx(0.11778, abs=5e-6)
 
     def test_constant_column_exactly_zero(self):
-        values = dinf(make([[0.7, -3.3]] * 5))
-        np.testing.assert_array_equal(values, [0.0, 0.0])
+        """Two constant columns beside one that varies, so that p_w > 0."""
+        values = influence_report(make([[0.7, -3.3, x] for x in range(5)])).dinf
+        np.testing.assert_array_equal(values[:2], [0.0, 0.0])
 
     def test_jensen_nonnegative(self):
         rng = np.random.default_rng(12)
         for _ in range(25):
             scale = 10.0 ** rng.integers(-3, 3)
             samples = make(rng.standard_normal((20, 4)) * scale)
-            assert np.all(dinf(samples) >= 0.0)
+            assert np.all(influence_report(samples).dinf >= 0.0)
 
     def test_stable_for_huge_magnitudes(self):
         """Max-shift keeps the estimate finite when values span hundreds of nats."""
         samples = make([[-900.0, 0.0], [-100.0, 0.0], [-500.0, 0.0]])
-        values = dinf(samples)
+        values = report_of(samples).dinf
         assert np.all(np.isfinite(values))
         assert values[0] > 0.0
 
@@ -134,10 +145,7 @@ class TestDinf:
 class TestPv:
     def test_hand_example(self):
         """Row sums (0, 3, 6) have variance 9; doubled gives 18."""
-        assert p_v(make(TOY)) == pytest.approx(18.0)
-
-    def test_constant_matrix(self):
-        assert p_v(make([[1.0, 2.0]] * 3)) == 0.0
+        assert report_of(make(TOY)).p_v == pytest.approx(18.0)
 
     def test_quadratic_form_identity(self):
         """p_v equals 2 * ones' V ones through the covariance path."""
@@ -146,7 +154,7 @@ class TestPv:
         matrix = loglik_covariance(samples).matrix
         ones = np.ones(5)
         np.testing.assert_allclose(
-            p_v(samples), 2.0 * ones @ matrix @ ones, rtol=1e-10
+            influence_report(samples).p_v, 2.0 * ones @ matrix @ ones, rtol=1e-10
         )
 
 
@@ -163,9 +171,9 @@ class TestClinfDirection:
         """clinf(ones) = p_v / (2 n p_w): 18 / (2*2*5) = 0.9 on the toy input."""
         samples = make(TOY)
         cov = loglik_covariance(samples)
-        total_pw = float(linf(samples).sum())
+        report = report_of(samples)
         lhs = clinf_direction(cov, Perturbation.ones(2))
-        rhs = p_v(samples) / (2.0 * samples.n_obs * total_pw)
+        rhs = report.p_v / (2.0 * samples.n_obs * report.p_w)
         assert lhs == pytest.approx(rhs, rel=1e-12)
         assert lhs == pytest.approx(0.9)
 
@@ -213,9 +221,9 @@ class TestClinfDirection:
 class TestConflictRatio:
     def test_hand_example_flagged(self):
         samples = make(TOY, chains=[0, 0, 0])
-        assert conflict_ratio(samples) == pytest.approx(3.6)
         with pytest.warns(UserWarning, match="too few draws"):
             report = influence_report(samples)
+        assert report.conflict_ratio == pytest.approx(3.6)
         assert report.flagged
 
     def test_independent_columns_give_two(self):
@@ -230,14 +238,14 @@ class TestConflictRatio:
 
     def test_constant_matrix_zero_trace(self):
         with pytest.raises(ZeroTrace):
-            conflict_ratio(make([[1.0, 2.0]] * 3))
+            report_of(make([[1.0, 2.0]] * 3))
 
 
 class TestCrossConflict:
     def test_single_group_matches_global(self):
         samples = make(TOY)
         result = cross_conflict(samples, GroupMap.single_group(samples.obs_ids))
-        assert result.ratio[0] == pytest.approx(conflict_ratio(samples), rel=1e-12)
+        assert result.ratio[0] == pytest.approx(report_of(samples).conflict_ratio, rel=1e-12)
 
     def test_singleton_groups(self):
         """Per-observation groups give 2*Var/Var = 2 with the factor, 1 without."""
@@ -265,36 +273,39 @@ class TestCrossConflict:
 
 
 class TestBinomialPw:
-    def test_binomial_variant_zero(self):
-        """y=1, m=2 with draws 0.4 and 0.6 gives identical log-likelihoods."""
-        result = binomial_pw([1], [2], [[0.4], [0.6]], variant="binomial")
-        np.testing.assert_allclose(result, [0.0], atol=1e-30)
-
     def test_bernoulli_variant(self):
-        """Same input decomposed per trial: ln(1.5)^2 with the S-1 convention."""
-        result = binomial_pw([1], [2], [[0.4], [0.6]], variant="bernoulli")
+        """y=1, m=2 with draws 0.4 and 0.6, decomposed per trial: ln(1.5)^2
+        with the S-1 convention."""
+        result = bernoulli_pw([1], [2], [[0.4], [0.6]])
         np.testing.assert_allclose(result, [math.log(1.5) ** 2], rtol=1e-12)
 
     def test_single_trial_variants_coincide(self):
+        """With one trial per outcome the decomposition is the ``linf`` of the
+        outcomes' Bernoulli log-likelihoods."""
         rng = np.random.default_rng(18)
         probs = rng.uniform(0.1, 0.9, (12, 4))
         y = np.array([0, 1, 1, 0])
         m = np.ones(4, dtype=int)
+        loglik = y * np.log(probs) + (m - y) * np.log1p(-probs)
         np.testing.assert_allclose(
-            binomial_pw(y, m, probs, variant="binomial"),
-            binomial_pw(y, m, probs, variant="bernoulli"),
+            influence_report(make(loglik)).linf,
+            bernoulli_pw(y, m, probs),
             rtol=1e-12,
         )
 
     def test_count_out_of_range(self):
-        with pytest.raises(CountOutOfRange):
-            binomial_pw([3], [2], [[0.4], [0.6]])
-        with pytest.raises(CountOutOfRange):
-            binomial_pw([0], [0], [[0.4], [0.6]])
+        with pytest.raises(InvalidParameter, match="0 <= y <= m"):
+            bernoulli_pw([3], [2], [[0.4], [0.6]])
+        with pytest.raises(InvalidParameter, match="0 <= y <= m"):
+            bernoulli_pw([-1], [2], [[0.4], [0.6]])
+        with pytest.raises(InvalidParameter, match="trial counts must be >= 1"):
+            bernoulli_pw([0], [0], [[0.4], [0.6]])
 
     def test_probability_out_of_range(self):
-        with pytest.raises(ProbabilityOutOfRange):
-            binomial_pw([1], [2], [[0.4], [1.0]])
+        with pytest.raises(InvalidParameter, match="'prob' must lie in"):
+            bernoulli_pw([1], [2], [[0.4], [1.0]])
+        with pytest.raises(InvalidParameter, match="'prob' must lie in"):
+            bernoulli_pw([1], [2], [[0.0], [0.6]])
 
     @pytest.mark.parametrize(
         "y, m, probs",
@@ -307,7 +318,7 @@ class TestBinomialPw:
     )
     def test_mis_shaped_input(self, y, m, probs):
         with pytest.raises(InvalidParameter, match="matching y and m"):
-            binomial_pw(y, m, probs)
+            bernoulli_pw(y, m, probs)
 
 
 class TestInfluenceReport:
@@ -358,7 +369,7 @@ class TestInfluenceReport:
         rng = np.random.default_rng(21)
         samples = make(rng.standard_normal((80, 4)), chains=[0] * 40 + [1] * 40)
         merged = aggregate(samples, GroupMap.single_group(samples.obs_ids))
-        assert p_v(merged) == p_v(samples)
+        assert influence_report(merged).p_v == influence_report(samples).p_v
 
     def test_all_constant_raises_zero_trace(self):
         with pytest.raises(ZeroTrace):
@@ -441,7 +452,7 @@ class TestBlockMoments:
         report = influence_report(samples)
         for field, expected in _reference_report(samples).items():
             np.testing.assert_array_equal(getattr(report, field), expected, err_msg=field)
-        full_linf, full_dinf = linf(samples), dinf(samples)
+        full_linf, full_dinf = one_pass(samples)
         np.testing.assert_allclose(report.linf, full_linf, rtol=1e-12)
         np.testing.assert_allclose(report.clinf, full_linf / full_linf.sum(), rtol=1e-12)
         assert report.p_w == pytest.approx(float(full_linf.sum()), rel=1e-12)
@@ -453,9 +464,9 @@ class TestBlockMoments:
         samples = make(_spread_draws(np.random.default_rng(32), 3, 4), chains=[0, 1, 1])
         with pytest.warns(UserWarning, match="too few draws"):
             report = influence_report(samples)
-        np.testing.assert_array_equal(report.linf, linf(samples))
+        np.testing.assert_array_equal(report.linf, samples.values.var(axis=0, ddof=1))
         np.testing.assert_array_equal(report.dinf, _reference_dinf(samples.values))
-        assert report.p_v == p_v(samples)
+        assert report.p_v == 2.0 * float(samples.values.sum(axis=1).var(ddof=1))
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(
@@ -511,8 +522,9 @@ class TestBlockMoments:
         assert report.dinf_mcse[0] == 0.0
         assert report.linf_mcse[0] <= 1e-12 * report.linf[0]
         assert report.dinf[0] > 0.0
-        np.testing.assert_allclose(report.dinf, dinf(samples), rtol=1e-9)
-        np.testing.assert_allclose(report.linf, linf(samples), rtol=1e-12)
+        full_linf, full_dinf = one_pass(samples)
+        np.testing.assert_allclose(report.dinf, full_dinf, rtol=1e-9)
+        np.testing.assert_allclose(report.linf, full_linf, rtol=1e-12)
 
     def test_peak_memory_below_the_draws(self):
         """No full-size gather or temporary: with 4 contiguous chains the

@@ -425,9 +425,21 @@ class TestSidecar:
         assert sidecar_of(csv_path).read_bytes() == npy_bytes(TABLE)
 
     def test_edited_csv_is_parsed_again(self, tmp_path, monkeypatch):
+        """The new bytes' sidecar replaces the old one. Files not named like a
+        sidecar of this CSV stay: another CSV's sidecar, even when that CSV's
+        name extends this one's, and other ``.npy`` files beside it."""
         csv_path = tmp_path / "draws.csv"
         csv_path.write_text(TABLE_CSV)
-        first = sidecar_of(csv_path)
+        other_csv = tmp_path / "draws.csv.old.csv"
+        other_csv.write_text(TABLE_CSV)
+        _read_csv_table(other_csv)
+        bystanders = [
+            tmp_path / "draws.csv.notes.npy",
+            tmp_path / f"draws.csv.{'A' * 64}.npy",
+            tmp_path / f"draws.csv.{'a' * 63}.npy",
+        ]
+        for path in bystanders:
+            path.write_bytes(npy_bytes(TABLE))
         _read_csv_table(csv_path)
         edited = TABLE_CSV.replace("3.75", "3.76")
         csv_path.write_text(edited)
@@ -435,7 +447,8 @@ class TestSidecar:
         header, values = _read_csv_table(csv_path)
         assert len(calls) == 1
         assert values.tolist() == [[0.5, 1.25], [2.5, 3.76]]
-        assert sidecars(tmp_path) == sorted([first.name, sidecar_of(csv_path).name])
+        kept = [sidecar_of(csv_path), sidecar_of(other_csv), *bystanders]
+        assert sidecars(tmp_path) == sorted(path.name for path in kept)
 
     @pytest.mark.parametrize("corrupt", sorted(BAD_SIDECARS))
     def test_bad_sidecar_is_a_miss_and_replaced(self, tmp_path, monkeypatch, corrupt):
