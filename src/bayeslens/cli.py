@@ -6,6 +6,11 @@ JSON format of every artifact; the library's result objects are plain data.
 The seed (default 42) drives only ``simulate``'s draws and the pairing of
 draw streams behind the hat-values, so identical inputs and flags yield
 byte-identical output files; each file is written whole or not at all.
+A text cell of a CSV artifact (an id, a label, a header name) is quoted by
+RFC 4180's minimal rule when it holds a comma, a double quote or a line break.
+``outliers`` writes every eigenvalue, but into ``eigen.json`` only the
+eigenvectors 1..k, where k is ``--trunc-rank`` or else the numerical rank:
+the count of eigenvalues above 1e-10 of the largest.
 Besides ``--out``, a command may write one sidecar beside each input CSV: a
 ``<csv>.<sha256>.npy`` copy of its parsed table, which later reads of the same
 bytes load in place of the text (``sample_store._read_csv_table``).
@@ -34,7 +39,7 @@ from . import leverage as leverage_mod
 from . import linear_oracle as oracle_mod
 from . import outliers as outliers_mod
 from .errors import DiagnosticsError, DiagnosticsWarning, InvalidParameter
-from .io_utils import dump_json, format_float, write_csv_rows
+from .io_utils import csv_text, dump_json, format_float, write_csv_rows
 from .sample_store import (
     check_aligned,
     load_group_map,
@@ -46,6 +51,9 @@ from .sample_store import (
 )
 
 DEFAULT_SEED = 42
+# Eigenvalues of the outlier matrix at or below this share of the largest
+# count as zero: they are round-off in the null space of V.
+_RANK_TOLERANCE = 1e-10
 
 
 def _stderr_line(record: dict) -> None:
@@ -75,7 +83,7 @@ def _write_influence_report(args: argparse.Namespace, report) -> None:
         _out_path(args, "influence_report.csv"),
         ["obs_id", *columns],
         "%s" + ",%.17g" * len(columns),
-        zip(report.obs_ids, *columns.values()),
+        zip(map(csv_text, report.obs_ids), *columns.values()),
     )
     totals = _fields(
         report, "p_w", "p_w_mcse", "p_w_star", "p_w_star_mcse", "p_v", "p_v_mcse",
@@ -94,7 +102,7 @@ def _write_group_conflict(args: argparse.Namespace, result) -> None:
         _out_path(args, "group_conflict.csv"),
         ["group", "p_v", "p_w", "ratio", "flagged"],
         "%s,%.17g,%.17g,%.17g,%s",
-        zip(result.group_labels, result.p_v, result.p_w, result.ratio,
+        zip(map(csv_text, result.group_labels), result.p_v, result.p_w, result.ratio,
             [str(label in flagged).lower() for label in result.group_labels]),
     )
     dump_json(
@@ -143,7 +151,7 @@ def cmd_leverage(args: argparse.Namespace) -> int:
         _out_path(args, "hat_values.csv"),
         ["obs_id", "hat_value", "mcse", "cllev"],
         "%s,%.17g,%.17g,%.17g",
-        zip(hat.obs_ids, hat.values, hat.mcse, hat.cllev),
+        zip(map(csv_text, hat.obs_ids), hat.values, hat.mcse, hat.cllev),
     )
     dump_json(
         _out_path(args, "hat_values.json"),
@@ -165,13 +173,17 @@ def cmd_outliers(args: argparse.Namespace) -> int:
     cov = influence_mod.loglik_covariance(samples)
     hat = leverage_mod.hat_values(pred, seed=args.seed, symmetrize=args.kl_symmetrize)
     decomposition = outliers_mod.outlier_matrix(cov, hat)
-    rank = args.trunc_rank if args.trunc_rank is not None else decomposition.n_obs
+    # The eigenvectors past the numerical rank span the null space in a basis
+    # that round-off in V can rotate, so only the top ``rank`` are written.
+    tolerance = _RANK_TOLERANCE * float(decomposition.eigenvalues[0])
+    numerical_rank = int(np.count_nonzero(decomposition.eigenvalues > tolerance))
+    rank = args.trunc_rank if args.trunc_rank is not None else numerical_rank
     truncated = outliers_mod.truncated_clout(decomposition, rank)
     write_csv_rows(
         _out_path(args, "clout.csv"),
         ["obs_id", "clout", "clout_truncated"],
         "%s,%.17g,%.17g",
-        zip(decomposition.obs_ids, decomposition.clout, truncated),
+        zip(map(csv_text, decomposition.obs_ids), decomposition.clout, truncated),
     )
     write_csv_rows(
         _out_path(args, "scree.csv"),
@@ -182,7 +194,10 @@ def cmd_outliers(args: argparse.Namespace) -> int:
     dump_json(
         _out_path(args, "eigen.json"),
         {
-            **_fields(decomposition, "obs_ids", "clout", "eigenvalues", "eigenvectors"),
+            **_fields(decomposition, "obs_ids", "clout", "eigenvalues"),
+            "eigenvectors": decomposition.eigenvectors[:, :rank],
+            "numerical_rank": numerical_rank,
+            "rank_tolerance": tolerance,
             "truncation_rank": rank,
             "clout_truncated": truncated,
         },
@@ -330,7 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_out.add_argument("--loglik", required=True)
     p_out.add_argument("--meta", required=True)
     p_out.add_argument("--pred", required=True)
-    p_out.add_argument("--trunc-rank", type=int, help="eigenvalue truncation rank")
+    p_out.add_argument(
+        "--trunc-rank",
+        type=int,
+        help="eigenpairs kept in clout_truncated and written to eigen.json "
+        "(default: the numerical rank)",
+    )
     p_out.add_argument("--kl-symmetrize", action="store_true")
     p_out.set_defaults(handler=cmd_outliers)
     add_common(p_out)

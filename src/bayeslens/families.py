@@ -82,21 +82,28 @@ def lookup(family: str, error: type[DiagnosticsError]) -> Family:
         ) from None
 
 
+def is_whole(values) -> np.ndarray:
+    """Elementwise: is each value a finite whole number (NaN and inf are not)."""
+    values = np.asarray(values)
+    return np.isfinite(values) & (values == np.floor(values))
+
+
 def _check_domain(family: str, name: str, values) -> None:
     if name in ("var", "rate", "shape") and not np.all(values > 0):
         raise InvalidParameter(f"{family} '{name}' must be positive everywhere")
     if name == "prob" and not (np.all(values > 0) and np.all(values < 1)):
         raise InvalidParameter(f"{family} 'prob' must lie in (0, 1) everywhere")
-    if name == "trials" and np.any(values < 1):
-        raise InvalidParameter(f"{family} trial counts must be >= 1")
+    if name == "trials" and not np.all((values >= 1) & is_whole(values)):
+        raise InvalidParameter(f"{family} trial counts must be whole numbers >= 1")
 
 
 def check_params(family: str, params: np.ndarray, fixed=None) -> None:
     """Raise InvalidParameter unless ``params`` and ``fixed`` lie in the family's domain.
 
     ``var``, ``rate`` and ``shape`` are positive, ``prob`` in (0, 1) and
-    binomial trial counts >= 1. ``fixed`` holds the per-observation constant
-    of a family that has one and is ``None`` for the others.
+    binomial trial counts finite whole numbers >= 1. ``fixed`` holds the
+    per-observation constant of a family that has one and is ``None`` for
+    the others.
     """
     spec = FAMILIES[family]
     for j, name in enumerate(spec.params):

@@ -27,7 +27,7 @@ from .errors import (
     ZeroPerturbation,
     ZeroTrace,
 )
-from .families import check_params
+from .families import check_params, is_whole
 from .sample_store import (
     GroupMap,
     LogLikSamples,
@@ -98,11 +98,52 @@ def _require_draws(values: np.ndarray) -> None:
         raise DegenerateSample("need at least 2 draws")
 
 
+# Draws per block of the covariance fold and of the hat-value pairs: about 1 MB.
+_BLOCK_BYTES = 1 << 20
+
+
 def loglik_covariance(samples: LogLikSamples) -> CovMatrix:
-    """Unbiased sample covariance of the log-likelihood columns, pooled over chains."""
+    """Unbiased sample covariance of the log-likelihood columns, pooled over chains.
+
+    The co-moments come from a fold over blocks of draws (``_co_moments``),
+    so the result differs from ``numpy.cov``'s by round-off (about 2e-15 of
+    its largest entry).
+    """
     _require_draws(samples.values)
-    cov = np.atleast_2d(np.cov(samples.values, rowvar=False, ddof=1))
-    return CovMatrix(matrix=cov, obs_ids=samples.obs_ids)
+    comoment = _co_moments(samples.values)
+    comoment /= samples.n_draws - 1
+    return CovMatrix(matrix=comoment, obs_ids=samples.obs_ids)
+
+
+def _co_moments(values: np.ndarray) -> np.ndarray:
+    """The n x n centred co-moment matrix of the columns of ``values``.
+
+    A left fold over contiguous blocks of rows: each block is centred on its
+    own mean, its co-moment matrix is one BLAS product, and it is merged into
+    the running co-moments in place by Chan, Golub & LeVeque (1979). The
+    scratch is one block and one n x n buffer whatever the number of rows.
+    """
+    n_rows, n_cols = values.shape
+    # At least 4n rows: each merge costs n x n work, and with n-row blocks the
+    # fold was slower than np.cov (109 vs 96 ms at 20000 x 400, 359 vs 240 ms
+    # at 4000 x 2000).
+    rows = min(n_rows, max(4 * n_cols, _BLOCK_BYTES // values[0].nbytes))
+    mean = values[:rows].mean(axis=0)
+    work = values[:rows] - mean
+    comoment = work.T @ work
+    buffer = np.empty_like(comoment) if rows < n_rows else None
+    count = rows
+    for start in range(rows, n_rows, rows):
+        block = values[start:start + rows]
+        size = block.shape[0]
+        block_mean = block.mean(axis=0)
+        centred = np.subtract(block, block_mean, out=work[:size])
+        comoment += np.matmul(centred.T, centred, out=buffer)
+        delta = block_mean - mean
+        comoment += np.multiply.outer(delta, delta * (count * size / (count + size)), out=buffer)
+        count += size
+        mean += delta * (size / count)
+    return comoment
 
 
 class _Sums(NamedTuple):
@@ -277,8 +318,8 @@ def bernoulli_pw(y, m, pi_draws) -> np.ndarray:
         raise InvalidParameter("pi_draws must be (draws x observations) matching y and m")
     _require_draws(pi_draws)
     check_params("binomial", pi_draws[..., None], m)
-    if np.any(y < 0) or np.any(y > m):
-        raise InvalidParameter("counts must satisfy 0 <= y <= m")
+    if not np.all((y >= 0) & (y <= m) & is_whole(y)):
+        raise InvalidParameter("counts must be whole numbers with 0 <= y <= m")
     var_success = np.log(pi_draws).var(axis=0, ddof=1)
     var_failure = np.log1p(-pi_draws).var(axis=0, ddof=1)
     return y * var_success + (m - y) * var_failure

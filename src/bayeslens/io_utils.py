@@ -124,15 +124,28 @@ def dump_json(path: str | os.PathLike, payload: dict) -> None:
         handle.write("\n")
 
 
+def csv_text(text: str) -> str:
+    """``text`` as one CSV cell, quoted by RFC 4180's minimal rule.
+
+    Only text that holds a comma, a double quote, CR or LF is quoted, with
+    each double quote doubled; any other text is returned as it is.
+    """
+    if any(mark in text for mark in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv_rows(path: str | os.PathLike, header, row_format: str, rows) -> None:
     """Write a comma-joined CSV: the header, then ``row_format % tuple(row)`` per row.
 
     ``row_format`` holds one ``%`` field per column, such as ``"%s,%.17g"``;
-    ``%.17g`` writes a float exactly as :func:`format_float` does.
+    ``%.17g`` writes a float exactly as :func:`format_float` does. Header
+    names pass through :func:`csv_text`; a text cell of a row must have
+    passed through it already.
     """
     line_format = row_format + "\n"
     with _replace_on_success(path) as handle:
-        handle.write(",".join(header) + "\n")
+        handle.write(",".join(map(csv_text, header)) + "\n")
         for row in rows:
             handle.write(line_format % tuple(row))
 

@@ -35,7 +35,7 @@ from .sample_store import (
     group_members,
     replicate_groups,
 )
-from .influence import _as_direction, _centred_sums, _merge_sums
+from .influence import _BLOCK_BYTES, _as_direction, _centred_sums, _merge_sums
 
 
 def family_kl(family: str, params1, params2):
@@ -117,10 +117,6 @@ def _split_streams(draw_chain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
-# Gathered params per side and block of pairs: about 1 MB.
-_PAIR_BLOCK_BYTES = 1 << 20
-
-
 def hat_values(
     pred: PredictiveDraws,
     *,
@@ -158,7 +154,7 @@ def hat_values(
     # folded into running moments, so neither a permuted copy of the params
     # nor an array of all pair values is made. The KL is elementwise:
     # blocking leaves its bits.
-    block = min(n_pairs, max(1, _PAIR_BLOCK_BYTES // pred.params[0].nbytes))
+    block = min(n_pairs, max(1, _BLOCK_BYTES // pred.params[0].nbytes))
     scratch = np.empty((block + 1, pred.n_obs))
     negative = np.zeros(pred.n_obs, dtype=int)
     for start in range(0, n_pairs, block):

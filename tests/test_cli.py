@@ -1,6 +1,7 @@
 """Command-line wiring: exit codes, artifacts, determinism, error JSON."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -13,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bayeslens import LogLikSamples, PredictiveDraws
 from bayeslens import linear_oracle as oracle_mod
 from bayeslens.cli import main
 from bayeslens.io_utils import format_float
+from bayeslens.sample_store import write_loglik_csv, write_metadata_json, write_predictive_csv
 
 TOY_CSV = "a,b\n0,0\n1,2\n2,4\n"
 TOY_META = '{"chains": [0, 0, 1]}'
@@ -428,6 +431,32 @@ class TestSimulateAndPipeline:
         spec = read_json(corpus / "spec_used.json")
         assert len(spec["y"]) == 40
 
+    def test_eigen_json_stops_at_the_numerical_rank(self, tmp_path):
+        """The demo's log-likelihoods are quadratic in 3 parameters, so V has
+        rank 3 + 6 = 9: eigen.json holds 40 eigenvalues, 9 eigenvectors, and
+        a truncated CLOUT equal to the CLOUT up to round-off."""
+        _, diag = self.run_pipeline(tmp_path)
+        eigen = read_json(diag / "eigen.json")
+        eigenvalues = np.array(eigen["eigenvalues"])
+        assert eigen["numerical_rank"] == eigen["truncation_rank"] == 9
+        assert eigen["rank_tolerance"] == 1e-10 * eigenvalues[0]
+        assert np.count_nonzero(eigenvalues > eigen["rank_tolerance"]) == 9
+        assert eigenvalues.shape == (40,)
+        assert np.array(eigen["eigenvectors"]).shape == (40, 9)
+        np.testing.assert_allclose(eigen["clout_truncated"], eigen["clout"], rtol=1e-12)
+        assert len((diag / "scree.csv").read_text().splitlines()) == 1 + 40
+
+    def test_full_rank_writes_every_eigenvector(self, tmp_path):
+        """With a full-rank V, as Poisson and gamma log-likelihoods give, the
+        numerical rank and the eigenvectors written are n."""
+        loglik, pred, meta = write_poisson_corpus(tmp_path / "corpus", ("a", "b", "c", "d", "e"))
+        out = tmp_path / "out"
+        assert main(["outliers", "--loglik", loglik, "--meta", meta, "--pred", pred,
+                     "--out", str(out)]) == 0
+        eigen = read_json(out / "eigen.json")
+        assert eigen["numerical_rank"] == eigen["truncation_rank"] == 5
+        assert np.array(eigen["eigenvectors"]).shape == (5, 5)
+
     def test_trunc_rank_out_of_range(self, tmp_path, capsys):
         corpus, _ = self.run_pipeline(tmp_path)
         code = main(
@@ -558,11 +587,64 @@ class TestArtifactFormats:
                 else:
                     assert cell == str(value), (name, cell, value)
 
+    def test_trunc_rank_sets_the_eigenvectors_written(self, demo_diagnostics):
+        eigen = read_json(demo_diagnostics / "eigen.json")
+        assert eigen["truncation_rank"] == 7
+        assert eigen["numerical_rank"] == 9
+        assert np.array(eigen["eigenvectors"]).shape == (40, 7)
+
     def test_flagged_groups_present(self, demo_diagnostics):
         """The conflict threshold leaves both flagged and unflagged groups to check."""
         flags = {line.rsplit(",", 1)[1] for line in
                  (demo_diagnostics / "group_conflict.csv").read_text().splitlines()[1:]}
         assert flags == {"true", "false"}
+
+
+def write_poisson_corpus(corpus, obs_ids, draws=40):
+    """Random log-likelihoods (a full-rank V) and Poisson predictive draws
+    over two chains, written as ``simulate`` writes its corpus."""
+    rng = np.random.default_rng(41)
+    chains = [row * 2 // draws for row in range(draws)]
+    n_obs = len(obs_ids)
+    corpus.mkdir(parents=True)
+    write_loglik_csv(
+        LogLikSamples(rng.standard_normal((draws, n_obs)), chains, obs_ids),
+        corpus / "loglik.csv",
+    )
+    pred = PredictiveDraws("poisson", rng.uniform(0.5, 6.0, (draws, n_obs, 1)), chains, obs_ids)
+    write_predictive_csv(pred, corpus / "predictive.csv")
+    write_metadata_json(pred, corpus / "metadata.json")
+    return [str(corpus / name) for name in ("loglik.csv", "predictive.csv", "metadata.json")]
+
+
+class TestCsvQuoting:
+    """A text cell holding a comma, a double quote or a line break is quoted,
+    so that every CSV the commands write parses back into its header's width."""
+
+    OBS_IDS = ("x,y", 'q"z', "plain", "line\nbreak")
+    LABELS = ("a,b", 'c"d\ne')
+
+    def test_every_csv_parses_back(self, tmp_path):
+        loglik, pred, meta = write_poisson_corpus(tmp_path / "corpus", self.OBS_IDS)
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps(dict(zip(self.OBS_IDS, self.LABELS * 2))))
+        out = tmp_path / "out"
+        for argv in (
+            ["conflict", "--loglik", loglik, "--meta", meta, "--groups", str(groups)],
+            ["leverage", "--pred", pred, "--meta", meta],
+            ["outliers", "--loglik", loglik, "--meta", meta, "--pred", pred],
+        ):
+            assert main(argv + ["--out", str(out)]) == 0
+        first_columns = {}
+        for path in sorted(out.glob("*.csv")):
+            with open(path, newline="", encoding="utf-8") as handle:
+                rows = list(csv.reader(handle))
+            assert {len(row) for row in rows} == {len(rows[0])}, path.name
+            first_columns[path.name] = tuple(row[0] for row in rows[1:])
+        assert first_columns["group_conflict.csv"] == self.LABELS
+        for name in ("influence_report.csv", "hat_values.csv", "clout.csv"):
+            assert first_columns[name] == self.OBS_IDS, name
+        assert len(first_columns) == 5
 
 
 class TestOracleCommand:

@@ -4,6 +4,7 @@ import functools
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from bayeslens import (
     bernoulli_pw,
     clinf_direction,
     cross_conflict,
+    influence,
     influence_report,
     loglik_covariance,
 )
@@ -294,12 +296,13 @@ class TestBinomialPw:
         )
 
     def test_count_out_of_range(self):
-        with pytest.raises(InvalidParameter, match="0 <= y <= m"):
-            bernoulli_pw([3], [2], [[0.4], [0.6]])
-        with pytest.raises(InvalidParameter, match="0 <= y <= m"):
-            bernoulli_pw([-1], [2], [[0.4], [0.6]])
-        with pytest.raises(InvalidParameter, match="trial counts must be >= 1"):
-            bernoulli_pw([0], [0], [[0.4], [0.6]])
+        """Successes and trials are finite whole numbers with 0 <= y <= m."""
+        for y in (3, -1, 0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParameter, match="whole numbers with 0 <= y <= m"):
+                bernoulli_pw([y], [2], [[0.4], [0.6]])
+        for m in (0, 2.5, math.nan, math.inf):
+            with pytest.raises(InvalidParameter, match="trial counts must be whole numbers >= 1"):
+                bernoulli_pw([0], [m], [[0.4], [0.6]])
 
     def test_probability_out_of_range(self):
         with pytest.raises(InvalidParameter, match="'prob' must lie in"):
@@ -508,6 +511,34 @@ class TestBlockMoments:
             assert np.all(np.abs(merged.total - whole.total) <= 1e-12 * np.abs(data).sum(axis=0))
             np.testing.assert_allclose(merged.sq_dev, whole.sq_dev, rtol=1e-12)
             np.testing.assert_array_equal(whole.sq_dev / (draws - 1), data.var(axis=0, ddof=1))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        draws=st.integers(2, 120),
+        n_obs=st.integers(1, 8),
+        block_bytes=st.integers(1, 4000),
+    )
+    def test_covariance_fold_any_block_size(self, seed, draws, n_obs, block_bytes):
+        """The blocked co-moment fold gives np.cov within 1e-13 of its largest
+        entry; a small block budget makes many blocks of 4n rows or more merge."""
+        values = _spread_draws(np.random.default_rng(seed), draws, n_obs)
+        with mock.patch.object(influence, "_BLOCK_BYTES", block_bytes):
+            cov = loglik_covariance(make(values)).matrix
+        expected = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
+        assert np.abs(cov - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_covariance_peak_memory_independent_of_draws(self):
+        """No centred copy of the draws: at n=40, S=200000 (64 MB of draws)
+        the transient peak of the covariance stays below 4 MB."""
+        samples = make(np.random.default_rng(35).standard_normal((200_000, 40)))
+        tracemalloc.start()
+        try:
+            loglik_covariance(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_column_constant_within_each_chain(self):
         """Each chain's Jensen gap is exactly zero, but pooled over the chains

@@ -43,6 +43,10 @@ OUT_OF_DOMAIN = [
     ("poisson", 0, 0.0),
     ("binomial", 0, 0.0),
     ("binomial", 0, 1.0),
+    ("binomial", 1, 0.0),
+    ("binomial", 1, 2.5),
+    ("binomial", 1, math.nan),
+    ("binomial", 1, math.inf),
     ("gamma", 0, -0.5),
     ("gamma", 1, 0.0),
 ]
@@ -324,7 +328,7 @@ class TestBlockedPairing:
     1e-12 relative (bit for bit from a single block)."""
 
     def check_against_one_shot(self, pred, symmetrize):
-        block = leverage._PAIR_BLOCK_BYTES // pred.params[0].nbytes
+        block = leverage._BLOCK_BYTES // pred.params[0].nbytes
         hat = hat_values(pred, seed=13, symmetrize=symmetrize)
         pair_values = one_shot_pairs(pred, 13, symmetrize)
         n_pairs = pair_values.shape[0]
@@ -355,7 +359,7 @@ class TestBlockedPairing:
     def test_small_blocks(self, random_predictive, monkeypatch, family, symmetrize, n_pairs):
         rng = np.random.default_rng(n_pairs)
         pred = random_predictive(family, rng, 2 * n_pairs, 3)
-        monkeypatch.setattr(leverage, "_PAIR_BLOCK_BYTES", 4 * pred.params[0].nbytes)
+        monkeypatch.setattr(leverage, "_BLOCK_BYTES", 4 * pred.params[0].nbytes)
         self.check_against_one_shot(pred, symmetrize)
         # near-identical draws: round-off makes some pair KLs negative, and
         # their counts fold in across blocks like the rest
@@ -366,7 +370,7 @@ class TestBlockedPairing:
     def test_default_block_size(self, random_predictive, family, symmetrize):
         """One pair more than the default block holds."""
         n_obs, k = 3, len(FAMILIES[family].params)
-        block = leverage._PAIR_BLOCK_BYTES // (n_obs * k * 8)
+        block = leverage._BLOCK_BYTES // (n_obs * k * 8)
         pred = random_predictive(family, np.random.default_rng(14), 2 * (block + 1), n_obs)
         self.check_against_one_shot(pred, symmetrize)
 
@@ -391,7 +395,8 @@ class TestDomainChecks:
     def test_predictive_draws_reject(self, random_predictive, family, column, value):
         pred = random_predictive(family, np.random.default_rng(37), 4, 2)
         params = pred.params.copy()
-        fixed = None if pred.fixed is None else pred.fixed.copy()
+        # a list, so that a trial count can take a value an int array cannot hold
+        fixed = None if pred.fixed is None else pred.fixed.tolist()
         if column < params.shape[2]:
             params[:, 0, column] = value
         else:
