@@ -4,15 +4,16 @@ The store is sampler-agnostic. Log-likelihood draws arrive as a decimal CSV
 whose header row names the observations and whose subsequent rows each hold
 one posterior draw; chain structure arrives in a companion JSON file.
 Predictive-distribution draws use the same row order with columns named
-``<obs_id>.<param>``. All containers are immutable after construction and
-safe to share across threads: they keep a float64 array that nothing can
-write to as it is, and copy any other input.
+``<obs_id>.<param>``, one per per-draw parameter; a family's per-observation
+constant (binomial trials, a known variance) sits once in the JSON. All
+containers are immutable after construction and safe to share across
+threads: they keep a float64 array that nothing can write to as it is, and
+copy any other input.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import itertools
 import math
 import numbers
@@ -37,23 +38,23 @@ from .errors import (
     UnknownObsId,
 )
 from .families import FAMILIES, check_params, lookup
-from .io_utils import dump_json, format_float, open_text, read_json, save_array, write_csv_rows
+from .io_utils import dump_json, open_text, read_json, save_array, write_csv_rows
 
 
-def _integer_array(values, error: type[DiagnosticsError], message: str) -> np.ndarray:
-    """``values`` as an int array; ``error(message)`` unless each is a non-boolean integer."""
-    # Types are checked before the int cast, which truncates 0.5 and True
-    # and overflows beyond int64.
+def _number_array(values, kind: type, error: type[DiagnosticsError], message: str):
+    """``values`` as an array of ``kind`` (``int`` or ``float``); ``error(message)``
+    unless each is a non-boolean number of that kind, where an int is also a float."""
+    # Types are checked before the cast, which would truncate 0.5 to an int,
+    # read True and "1.5" as numbers, and overflow beyond int64.
+    kinds, scalar = {int: ("iu", numbers.Integral), float: ("iuf", numbers.Real)}[kind]
     if isinstance(values, np.ndarray):
-        integral = values.dtype.kind in "iu"
+        typed = values.dtype.kind in kinds
     else:
         items = values if np.iterable(values) else [values]
-        integral = all(
-            isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in items
-        )
-    if integral:
+        typed = all(isinstance(v, scalar) and not isinstance(v, bool) for v in items)
+    if typed:
         try:
-            return np.array(values, dtype=int)
+            return np.array(values, dtype=int) if kind is int else _frozen_float_array(values)
         except OverflowError:
             pass
     raise error(message)
@@ -63,8 +64,8 @@ def _chain_array(draw_chain, n_draws: int) -> np.ndarray:
     """Validated chain labels: one non-negative, non-boolean integer per draw."""
     # Single-draw chains are accepted here; operations that need two draws
     # per chain (stream pairing, replicate standard errors) enforce it.
-    labels = _integer_array(
-        draw_chain, ChainMismatch, "chain labels must be non-negative integers"
+    labels = _number_array(
+        draw_chain, int, ChainMismatch, "chain labels must be non-negative integers"
     )
     if labels.shape != (n_draws,):
         raise ChainMismatch(
@@ -73,6 +74,7 @@ def _chain_array(draw_chain, n_draws: int) -> np.ndarray:
         )
     if np.any(labels < 0):
         raise ChainMismatch("chain labels must be non-negative integers")
+    labels.setflags(write=False)
     return labels
 
 
@@ -103,6 +105,27 @@ def _validate_obs_ids(obs_ids) -> tuple[str, ...]:
     return ids
 
 
+def _check_draw_axes(values: np.ndarray, obs_ids, draw_chain):
+    """The checks both draw containers make on an array with draws on axis 0
+    and observations on axis 1: at least 2 draws and 1 observation, one id
+    per observation, finite values and one chain label per draw. Returns the
+    ids and the read-only chain labels."""
+    n_draws, n_obs = values.shape[:2]
+    if n_draws < 2:
+        raise DegenerateSample(f"need at least 2 draws, got {n_draws}")
+    if n_obs < 1:
+        raise DegenerateSample("need at least 1 observation")
+    ids = _validate_obs_ids(obs_ids)
+    if len(ids) != n_obs:
+        raise MalformedCsv(f"got {len(ids)} obs ids for {n_obs} columns")
+    if not np.all(np.isfinite(values)):
+        row, col = np.argwhere(~np.isfinite(values))[0][:2]
+        raise NonFiniteValue(
+            f"non-finite value at draw row {row + 1}, observation '{ids[col]}'"
+        )
+    return ids, _chain_array(draw_chain, n_draws)
+
+
 @dataclass(frozen=True)
 class LogLikSamples:
     """S x n matrix of per-draw, per-observation log-likelihood values (nats)."""
@@ -115,22 +138,7 @@ class LogLikSamples:
         values = _frozen_float_array(self.values)
         if values.ndim != 2:
             raise InvalidParameter("values must be a 2-d (draws x observations) array")
-        n_draws, n_obs = values.shape
-        if n_draws < 2:
-            raise DegenerateSample(f"need at least 2 draws, got {n_draws}")
-        if n_obs < 1:
-            raise DegenerateSample("need at least 1 observation")
-        if not np.all(np.isfinite(values)):
-            row, col = np.argwhere(~np.isfinite(values))[0]
-            ids = _validate_obs_ids(self.obs_ids)
-            raise NonFiniteValue(
-                f"non-finite value at draw row {row + 1}, column '{ids[col]}'"
-            )
-        obs_ids = _validate_obs_ids(self.obs_ids)
-        if len(obs_ids) != n_obs:
-            raise MalformedCsv(f"got {len(obs_ids)} obs ids for {n_obs} columns")
-        draw_chain = _chain_array(self.draw_chain, n_draws)
-        draw_chain.setflags(write=False)
+        obs_ids, draw_chain = _check_draw_axes(values, self.obs_ids, self.draw_chain)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "draw_chain", draw_chain)
         object.__setattr__(self, "obs_ids", obs_ids)
@@ -178,7 +186,9 @@ class PredictiveDraws:
     ``FAMILIES[family].params``. A family's per-observation constant is
     stored once per observation in ``fixed``, shape (n,): integer trial
     counts for binomial, the known variance for ``normal_known_var``
-    (whose ``params`` are the (S, n, 1) means), ``None`` otherwise.
+    (whose ``params`` are the (S, n, 1) means), ``None`` otherwise. The
+    files keep the same split: the predictive CSV holds ``params`` and the
+    metadata JSON holds ``fixed`` as ``{"trials" or "var": {obs_id: value}}``.
     """
 
     family: str
@@ -195,23 +205,15 @@ class PredictiveDraws:
                 f"params must have shape (draws, observations, "
                 f"{len(spec.params)}) for family '{self.family}'"
             )
-        n_draws, n_obs, _ = params.shape
-        if n_draws < 2:
-            raise DegenerateSample(f"need at least 2 draws, got {n_draws}")
-        if not np.all(np.isfinite(params)):
-            raise NonFiniteValue("predictive parameters contain non-finite values")
-        obs_ids = _validate_obs_ids(self.obs_ids)
-        if len(obs_ids) != n_obs:
-            raise MalformedCsv(f"got {len(obs_ids)} obs ids for {n_obs} columns")
-        draw_chain = _chain_array(self.draw_chain, n_draws)
+        obs_ids, draw_chain = _check_draw_axes(params, self.obs_ids, self.draw_chain)
         fixed = self.fixed
         # a constant given to a family without one is refused by check_params
         if fixed is not None and spec.fixed is not None:
-            if spec.fixed == "trials":
-                fixed = _integer_array(fixed, InvalidParameter, "trial counts must be integers")
-            else:
-                fixed = _frozen_float_array(fixed)
-            if fixed.shape != (n_obs,):
+            kind, what = (int, "integers") if spec.fixed == "trials" else (float, "numbers")
+            fixed = _number_array(
+                fixed, kind, InvalidParameter, f"{self.family} '{spec.fixed}' must be {what}"
+            )
+            if fixed.shape != (len(obs_ids),):
                 raise InvalidParameter(
                     f"{self.family} needs one '{spec.fixed}' per observation"
                 )
@@ -219,7 +221,6 @@ class PredictiveDraws:
                 raise NonFiniteValue(f"{self.family} '{spec.fixed}' is not finite")
             fixed.setflags(write=False)
         check_params(self.family, params, fixed)
-        draw_chain.setflags(write=False)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "draw_chain", draw_chain)
         object.__setattr__(self, "obs_ids", obs_ids)
@@ -360,6 +361,8 @@ def _read_csv_table(path: str | os.PathLike) -> tuple[list[str], np.ndarray]:
     sidecars of earlier contents of the file are removed. Saving and removing
     are best effort: an OSError leaves no sidecar or keeps an old one.
     """
+    # hashlib loads OpenSSL on first use: commands that read no CSV never need it
+    import hashlib
     sidecar = None
     if os.path.isfile(path):
         lookup = hashlib.sha256()
@@ -537,33 +540,9 @@ def _resolve_family(meta: dict, family: str | None) -> str:
     raise FamilyMismatch("metadata 'families' must be a string or an object")
 
 
-# Binomial trial counts are the one per-observation constant read from the
-# metadata JSON; a family's other constant (the known variance) is a CSV
-# column beside its per-draw parameters.
-_METADATA_CONSTANT = "trials"
-
-
-def _csv_params(family: str) -> tuple[str, ...]:
-    """The ``<param>`` names of a family's predictive CSV columns, in order."""
-    spec = FAMILIES[family]
-    if spec.fixed in (None, _METADATA_CONSTANT):
-        return spec.params
-    return spec.params + (spec.fixed,)
-
-
-def _constant_down_draws(family: str, name: str, column: np.ndarray) -> np.ndarray:
-    """The first draw's row of an (S, n) column that must not vary across draws.
-
-    Raises InvalidParameter unless every draw is within a relative 1e-9 of
-    the first, checked through two reductions, not draw-sized temporaries.
-    """
-    first = column[0]
-    spread = np.maximum(column.max(axis=0) - first, first - column.min(axis=0))
-    if np.any(spread > 1e-9 * np.abs(first)):
-        raise InvalidParameter(
-            f"{family} '{name}' must be the same in every draw of an observation"
-        )
-    return first
+# The names of the per-observation constants, which the metadata JSON holds
+# and a predictive CSV never does.
+_CONSTANTS = ", ".join(sorted({spec.fixed for spec in FAMILIES.values() if spec.fixed}))
 
 
 def load_predictive(
@@ -573,53 +552,49 @@ def load_predictive(
 ) -> PredictiveDraws:
     """Load predictive-parameter draws from a ``<obs_id>.<param>`` CSV.
 
+    The columns are the family's per-draw parameters, ``FAMILIES[family].params``.
     The family comes from the ``family`` argument or from the metadata
-    ``families`` entry; binomial trial counts come from the metadata
-    ``trials`` object. A ``normal_known_var`` variance is read from the
-    ``<obs_id>.var`` columns, which must hold the same value in every draw
-    (to a relative 1e-9); the first draw's value is kept. The parsed table
+    ``families`` entry. A family's per-observation constant comes from the
+    metadata object named after it, one JSON number per observation: the
+    binomial ``trials`` and the ``normal_known_var`` ``var``. The parsed table
     may be saved beside the CSV as a ``.npy`` sidecar, as in ``load_samples``.
     """
     header, table = _read_csv_table(pred_file)
     meta = _read_metadata(metadata_file, table.shape[0])
     family = _resolve_family(meta, family)
     spec = lookup(family, FamilyMismatch)
-    param_names = _csv_params(family)
 
     # observation -> {param: column index}, observations in first-appearance order
     columns: dict[str, dict[str, int]] = {}
     for idx, name in enumerate(header):
         obs, sep, param = name.rpartition(".")
-        if not sep or param not in param_names or not obs:
+        if not sep or param not in spec.params or not obs:
             raise MalformedCsv(
                 f"{pred_file}: column '{name}' is not of the form "
-                f"<obs_id>.<param> with param in {param_names}"
+                f"<obs_id>.<param> with param in {spec.params}; a per-observation "
+                f"constant ({_CONSTANTS}) belongs in the metadata JSON"
             )
         found = columns.setdefault(obs, {})
         if param in found:
             raise DuplicateObsId(f"{pred_file}: repeated column '{name}'")
         found[param] = idx
     for obs, found in columns.items():
-        missing = [p for p in param_names if p not in found]
+        missing = [p for p in spec.params if p not in found]
         if missing:
             raise MalformedCsv(
                 f"{pred_file}: observation '{obs}' is missing columns {missing}"
             )
     order = tuple(columns)
 
-    idx = [found[param] for found in columns.values() for param in param_names]
+    idx = [found[param] for found in columns.values() for param in spec.params]
     if idx != list(range(len(header))):
         # ``take`` gives a C-ordered copy, which the reshape below only views
         table = table.take(idx, axis=1)
         table.setflags(write=False)
-    params = table.reshape(table.shape[0], len(order), len(param_names))
+    params = table.reshape(table.shape[0], len(order), len(spec.params))
 
     fixed = None
-    if len(param_names) > len(spec.params):
-        # the constant's columns stay in the table; the params view skips them
-        fixed = _constant_down_draws(family, spec.fixed, params[:, :, -1])
-        params = params[:, :, :-1]
-    elif spec.fixed is not None:
+    if spec.fixed is not None:
         raw = meta.get(spec.fixed)
         if not isinstance(raw, dict):
             raise InvalidParameter(
@@ -649,9 +624,7 @@ def write_loglik_csv(samples: LogLikSamples, path: str | os.PathLike) -> None:
 _WRITE_BLOCK_ROWS = 1024
 
 
-def _write_draws_csv(
-    path: str | os.PathLike, header, table: np.ndarray, row_format: str | None = None
-) -> None:
+def _write_draws_csv(path: str | os.PathLike, header, table: np.ndarray) -> None:
     # One format per row over Python floats (``tolist``) writes the bytes of
     # io_utils.format_float on each cell, in less time than per-cell calls.
     # Converting a block of rows at a time bounds the Python floats alive.
@@ -659,8 +632,7 @@ def _write_draws_csv(
         table[start:start + _WRITE_BLOCK_ROWS].tolist()
         for start in range(0, table.shape[0], _WRITE_BLOCK_ROWS)
     )
-    if row_format is None:
-        row_format = ",".join(["%.17g"] * table.shape[1])
+    row_format = ",".join(["%.17g"] * table.shape[1])
     write_csv_rows(path, header, row_format, itertools.chain.from_iterable(blocks))
 
 
@@ -668,30 +640,24 @@ def write_metadata_json(
     samples: LogLikSamples | PredictiveDraws,
     path: str | os.PathLike,
 ) -> None:
+    """Emit the chain labels; for predictive draws also the family and, when it
+    has one, its per-observation constant as ``{obs_id: value}``."""
     meta: dict = {"chains": samples.draw_chain.tolist()}
     if isinstance(samples, PredictiveDraws):
         meta["families"] = samples.family
-        if FAMILIES[samples.family].fixed == _METADATA_CONSTANT:
-            meta[_METADATA_CONSTANT] = {
-                obs: int(m) for obs, m in zip(samples.obs_ids, samples.fixed)
-            }
+        if samples.fixed is not None:
+            meta[FAMILIES[samples.family].fixed] = dict(
+                zip(samples.obs_ids, samples.fixed.tolist())
+            )
     dump_json(path, meta)
 
 
 def write_predictive_csv(pred: PredictiveDraws, path: str | os.PathLike) -> None:
-    """Emit predictive draws as ``<obs_id>.<param>`` columns, a known variance
-    repeated in every draw."""
-    names = _csv_params(pred.family)
+    """Emit predictive draws as ``<obs_id>.<param>`` columns of the per-draw
+    parameters; ``write_metadata_json`` writes the per-observation constant."""
+    names = FAMILIES[pred.family].params
     header = [f"{obs}.{param}" for obs in pred.obs_ids for param in names]
-    per_draw = ["%.17g"] * pred.params.shape[2]
-    row_format = None
-    if len(names) > len(per_draw):
-        # the constant's text is the same in every row, so it is part of the
-        # row format and only the per-draw values are converted
-        row_format = ",".join(
-            ",".join([*per_draw, format_float(value)]) for value in pred.fixed.tolist()
-        )
-    _write_draws_csv(path, header, pred.params.reshape(pred.n_draws, -1), row_format)
+    _write_draws_csv(path, header, pred.params.reshape(pred.n_draws, -1))
 
 
 def load_group_map(path: str | os.PathLike) -> GroupMap:

@@ -297,21 +297,63 @@ class TestBadInputsFailClosed:
         assert_one_error_line(capsys, "InvalidParameter")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "var",
+        ['"1.5"', "true", "null", "[2]", None, "0", str(10**400)],
+        ids=["string", "boolean", "null", "list", "missing", "zero", "beyond_float"],
+    )
+    def test_bad_known_variance(self, tmp_path, capsys, var):
+        """A metadata variance that is not a positive JSON number, or none for
+        one observation, exits 1 and writes nothing."""
+        pred = tmp_path / "pred.csv"
+        pred.write_text("a.mean,b.mean\n0,1\n0.5,1.5\n0,1\n1,0\n")
+        entry = "" if var is None else '"a": %s, ' % var
+        meta = tmp_path / "meta.json"
+        meta.write_text(
+            '{"chains": [0, 0, 1, 1], "families": "normal_known_var", '
+            '"var": {%s"b": 1}}' % entry
+        )
+        out = tmp_path / "out"
+        code = main(["leverage", "--pred", str(pred), "--meta", str(meta), "--out", str(out)])
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidParameter")
+        assert not out.exists()
+
     @pytest.mark.parametrize("wobble", [2e-9, 1e-3, -2e-9])
     def test_varying_known_variance(self, tmp_path, capsys, wobble):
-        """A ``normal_known_var`` variance that moves across draws by more than
-        a relative 1e-9 exits 1 and writes nothing."""
+        """A ``normal_known_var`` variance that moves across draws, given in an
+        old-format ``<obs>.var`` column, exits 1 and writes nothing: the column
+        is refused whatever it holds, and the variance comes from the metadata."""
         pred = tmp_path / "pred.csv"
         pred.write_text(
             "a.mean,a.var,b.mean,b.var\n"
             f"0,2,1,1\n0.5,2,1.5,1\n0,2,1,{format_float(1.0 + wobble)}\n1,2,0,1\n"
         )
         meta = tmp_path / "meta.json"
-        meta.write_text('{"chains": [0, 0, 1, 1], "families": "normal_known_var"}')
+        meta.write_text('{"chains": [0, 0, 1, 1], "families": "normal_known_var", '
+                        '"var": {"a": 2, "b": 1}}')
         out = tmp_path / "out"
         code = main(["leverage", "--pred", str(pred), "--meta", str(meta), "--out", str(out)])
         assert code == 1
-        assert_one_error_line(capsys, "InvalidParameter")
+        assert_one_error_line(capsys, "MalformedCsv")
+        assert not out.exists()
+
+    def test_known_variance_column_refused(self, tmp_path, capsys):
+        """A corpus that still carries a ``<obs>.var`` column per draw exits 1
+        with one JSON line that names the column and the metadata."""
+        pred = tmp_path / "pred.csv"
+        pred.write_text("a.mean,a.var,b.mean,b.var\n" + "0,1,0,1\n0.5,1,1,1\n" * 2)
+        meta = tmp_path / "meta.json"
+        meta.write_text('{"chains": [0, 0, 1, 1], "families": "normal_known_var", '
+                        '"var": {"a": 1, "b": 1}}')
+        out = tmp_path / "out"
+        code = main(["leverage", "--pred", str(pred), "--meta", str(meta), "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "MalformedCsv"
+        assert "'a.var'" in err["message"] and "metadata JSON" in err["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -483,9 +525,10 @@ class TestSimulateAndPipeline:
     def test_zero_hat_value_exit_one(self, tmp_path, capsys):
         # constant predictive draws give zero hat-values for every observation
         pred = tmp_path / "pred.csv"
-        pred.write_text("a.mean,a.var,b.mean,b.var\n" + "0,1,0,1\n" * 4)
+        pred.write_text("a.mean,b.mean\n" + "0,0\n" * 4)
         meta = tmp_path / "meta.json"
-        meta.write_text('{"chains": [0, 0, 1, 1], "families": "normal_known_var"}')
+        meta.write_text('{"chains": [0, 0, 1, 1], "families": "normal_known_var", '
+                        '"var": {"a": 1, "b": 1}}')
         loglik = tmp_path / "loglik.csv"
         loglik.write_text("a,b\n0,0\n1,2\n2,4\n0.5,1\n")
         code = main(
@@ -820,19 +863,21 @@ class TestDeterminism:
             ).read_bytes(), name
 
 
-# Runs ``bayeslens.cli.main`` on argv[1:], then prints the scipy modules it loaded.
+# Runs ``bayeslens.cli.main`` on argv[1:], then prints the scipy modules and
+# hashlib, if it loaded them.
 SCIPY_PROBE = """
 import json, sys
 from bayeslens.cli import main
 from bayeslens.io_utils import format_float
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m in ("scipy", "hashlib") or m.startswith("scipy."))))
 sys.exit(code)
 """
 
 
 def run_probe(argv):
-    """Exit code and scipy modules of a fresh interpreter running ``main(argv)``."""
+    """Exit code, and scipy modules and hashlib, of a fresh interpreter running ``main(argv)``."""
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, *argv],
         env=child_env(), capture_output=True, text=True, timeout=120,
@@ -854,7 +899,8 @@ def demo_corpus(tmp_path_factory):
 class TestStartupImports:
     """No command on normal draws loads scipy: the diagnostics never solve a
     linear system, and the oracle behind ``simulate`` and ``oracle`` solves
-    with numpy's Cholesky factor."""
+    with numpy's Cholesky factor. Within bayeslens only reading a draws CSV
+    loads hashlib, for the digest that names the table's sidecar."""
 
     def test_import_cli_loads_no_scipy(self):
         assert run_probe([]) == (0, [])
@@ -874,13 +920,15 @@ class TestStartupImports:
                 "--out", str(tmp_path / "out")]
         for flag, name in inputs.items():
             argv += [flag, str(demo_corpus / name)]
-        assert run_probe(argv) == (0, [])
+        assert run_probe(argv) == (0, ["hashlib"])
 
     def test_simulate_and_oracle_in_fresh_process(self, tmp_path):
         corpus = tmp_path / "corpus"
+        # numpy.random, which draws the corpus, may load hashlib itself through
+        # the standard library's secrets module; oracle draws nothing
         assert run_probe(
             ["simulate", "--demo", "--draws", "600", "--out", str(corpus)]
-        ) == (0, [])
+        ) in ((0, []), (0, ["hashlib"]))
         assert run_probe(["oracle", "--spec", str(corpus / "spec_used.json"),
                           "--out", str(tmp_path / "oracle")]) == (0, [])
         assert read_json(tmp_path / "oracle" / "linear_diagnostics.json")["p_d"] > 0
@@ -919,9 +967,10 @@ class TestStrictJson:
 
     def test_cllev_at_zero_leverage(self, tmp_path):
         pred = tmp_path / "pred.csv"
-        pred.write_text("a.mean,a.var,b.mean,b.var\n" + "0,1,0,1\n" * 4)
+        pred.write_text("a.mean,b.mean\n" + "0,0\n" * 4)
         meta = tmp_path / "meta.json"
-        meta.write_text('{"chains": [0, 0, 1, 1], "families": "normal_known_var"}')
+        meta.write_text('{"chains": [0, 0, 1, 1], "families": "normal_known_var", '
+                        '"var": {"a": 1, "b": 1}}')
         out = tmp_path / "out"
         assert main(["leverage", "--pred", str(pred), "--meta", str(meta),
                      "--out", str(out)]) == 0
@@ -945,10 +994,11 @@ class TestStderrJsonLines:
     def single_chain_corpus(self, tmp_path, constant):
         mean = "0" if constant else "{}"
         pred = tmp_path / "pred.csv"
-        pred.write_text("a.mean,a.var,b.mean,b.var\n" + "".join(
-            f"{mean.format(row)},1,{mean.format(-row)},1\n" for row in range(4)))
+        pred.write_text("a.mean,b.mean\n" + "".join(
+            f"{mean.format(row)},{mean.format(-row)}\n" for row in range(4)))
         meta = tmp_path / "meta.json"
-        meta.write_text('{"chains": [0, 0, 0, 0], "families": "normal_known_var"}')
+        meta.write_text('{"chains": [0, 0, 0, 0], "families": "normal_known_var", '
+                        '"var": {"a": 1, "b": 1}}')
         loglik = tmp_path / "loglik.csv"
         loglik.write_text("a,b\n0,0\n1,2\n2,4\n0.5,1\n")
         return ["--loglik", str(loglik), "--pred", str(pred), "--meta", str(meta)]

@@ -22,6 +22,7 @@ from bayeslens import (
 from bayeslens.errors import (
     FlooredHatValues,
     InvalidParameter,
+    MalformedCsv,
     NoReplicates,
     SingleChain,
     SingleDraw,
@@ -426,21 +427,18 @@ class TestDomainChecks:
         with pytest.raises(InvalidParameter):
             family_kl(family, tuple(bad), tuple(bad))
 
-    def test_known_variance_must_be_constant(self, tmp_path):
-        """A known-variance normal whose variance moves across draws is refused
-        when the draws are loaded; within 1e-9 the first draw's value is kept."""
+    def test_known_variance_column_refused(self, tmp_path):
+        """A known variance is read from the metadata, never from a CSV column."""
         meta = tmp_path / "meta.json"
-        meta.write_text('{"chains": [0, 0, 1, 1], "families": "normal_known_var"}')
+        meta.write_text('{"chains": [0, 0, 1, 1], "families": "normal_known_var", '
+                        '"var": {"a": 1}}')
         pred_file = tmp_path / "pred.csv"
-        pred_file.write_text("a.mean,a.var\n0,1\n0.5,1\n0,2\n1,2\n")
-        with pytest.raises(InvalidParameter, match="var"):
+        pred_file.write_text("a.mean,a.var\n0,1\n0.5,1\n0,1\n1,1\n")
+        with pytest.raises(MalformedCsv, match=r"'a\.var'.*metadata JSON"):
             load_predictive(pred_file, meta)
-        # a relative wobble below 1e-9 is round-off, not a second variance
-        pred_file.write_text(
-            "a.mean,a.var\n0,1.0000000005\n0.5,1\n0,0.9999999996\n1,1\n"
-        )
+        pred_file.write_text("a.mean\n0\n0.5\n0\n1\n")
         pred = load_predictive(pred_file, meta)
-        assert pred.fixed.tolist() == [1.0000000005]
+        assert pred.fixed.tolist() == [1.0]
         np.testing.assert_array_equal(pred.params[:, 0, 0], [0.0, 0.5, 0.0, 1.0])
 
 

@@ -415,8 +415,8 @@ class TestSidecar:
         assert calls == []
         assert container_state(warm) == container_state(cold)
         if kind == "normal_known_var":
-            # the means stay a strided view of the (S, 2n) table
-            assert not warm.params.flags.c_contiguous
+            # the means are the whole (S, n) table, viewed as (S, n, 1)
+            assert warm.params.flags.c_contiguous
 
     def test_sidecar_holds_the_table_as_npy(self, tmp_path):
         csv_path = tmp_path / "draws.csv"
@@ -602,6 +602,24 @@ class TestContainerErrors:
         with pytest.raises(InvalidParameter, match="2-d"):
             LogLikSamples(values=np.zeros(4), draw_chain=[0, 0, 1, 1], obs_ids="abcd")
 
+    @pytest.mark.parametrize("kind", ["loglik", "predictive"])
+    def test_same_draw_axis_checks(self, kind):
+        """Both containers name a non-finite value's draw row and observation,
+        refuse a single draw, and keep read-only chain labels."""
+        def make(array, draw_chain):
+            if kind == "loglik":
+                return LogLikSamples(values=array, draw_chain=draw_chain, obs_ids="ab")
+            return PredictiveDraws(family="poisson", params=array,
+                                   draw_chain=draw_chain, obs_ids="ab")
+
+        array = np.ones((3, 2) if kind == "loglik" else (3, 2, 1))
+        array[2, 1] = np.nan
+        with pytest.raises(NonFiniteValue, match="draw row 3, observation 'b'"):
+            make(array, [0, 0, 1])
+        with pytest.raises(DegenerateSample, match="at least 2 draws"):
+            make(array[:1], [0])
+        assert not make(array[:2], [0, 1]).draw_chain.flags.writeable
+
 
 def contain(kind, array):
     """The array a container keeps for ``array``: log-likelihood values or params."""
@@ -702,7 +720,7 @@ class TestLoaderMemory:
         assert peak <= 1.5 * loaded.params.nbytes
 
     def test_load_known_variance_peak(self, tmp_path, random_predictive, warm):
-        """The means are passed on as a view of the parsed (S, 2n) table."""
+        """The means are passed on as a view of the parsed (S, n) table."""
         pred = random_predictive("normal_known_var", np.random.default_rng(11), 8000, 40)
         write_predictive_csv(pred, tmp_path / "pred.csv")
         write_metadata_json(pred, tmp_path / "meta.json")
@@ -712,8 +730,7 @@ class TestLoaderMemory:
         )
         np.testing.assert_array_equal(loaded.params, pred.params)
         np.testing.assert_array_equal(loaded.fixed, pred.fixed)
-        table_bytes = 2 * loaded.params.nbytes
-        assert peak <= 1.5 * table_bytes
+        assert peak <= 1.5 * loaded.params.nbytes
 
 
 class TestPredictiveDraws:
@@ -808,7 +825,7 @@ class TestPredictiveDraws:
         with pytest.raises(InvalidParameter, match="constant"):
             PredictiveDraws(family="poisson", params=means + 1.0,
                             draw_chain=[0, 1], obs_ids=("a", "b"), fixed=[1.0, 1.0])
-        # the (mean, var) layout of the CSV is not the container's
+        # a (mean, var) pair per draw is the normal family's layout, not this one's
         with pytest.raises(InvalidParameter, match="shape"):
             PredictiveDraws(family="normal_known_var", params=np.ones((2, 2, 2)),
                             draw_chain=[0, 1], obs_ids=("a", "b"), fixed=[1.0, 1.0])
