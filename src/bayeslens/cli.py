@@ -1,16 +1,17 @@
 """Command-line front end: ingestion -> diagnostics -> plot-ready tables.
 
-Subcommands: influence, leverage, outliers, conflict (influence with a
-required group map), oracle, simulate. The handlers here define the CSV and
-JSON format of every artifact; the library's result objects are plain data.
-The seed (default 42) drives only ``simulate``'s draws and the pairing of
-draw streams behind the hat-values, so identical inputs and flags yield
-byte-identical output files; each file is written whole or not at all.
-A text cell of a CSV artifact (an id, a label, a header name) is quoted by
-RFC 4180's minimal rule when it holds a comma, a double quote or a line break.
-``outliers`` writes every eigenvalue, but into ``eigen.json`` only the
-eigenvectors 1..k, where k is ``--trunc-rank`` or else the numerical rank:
-the count of eigenvalues above 1e-10 of the largest.
+Subcommands: influence, leverage, outliers, conflict (influence plus the
+per-group cross-conflict of a required group map), oracle, simulate. The
+handlers here define the CSV and JSON format of every artifact; the library's
+result objects are plain data. ``--seed`` (default 42), taken only by
+``simulate``, ``leverage`` and ``outliers``, drives ``simulate``'s draws and
+the pairing of draw streams behind the hat-values, so identical inputs and
+flags yield byte-identical output files; each file is written whole or not
+at all. A text cell of a CSV artifact (an id, a label, a header name) is
+quoted by RFC 4180's minimal rule when it holds a comma, a double quote or a
+line break. ``outliers`` writes the eigenvalues 1..r of the numerical rank r
+that ``outlier_matrix`` decides, and into ``eigen.json`` the eigenvectors
+1..k, where k is ``--trunc-rank`` (at most r) or else r.
 Besides ``--out``, a command may write one sidecar beside each input CSV: a
 ``<csv>.<sha256>.npy`` copy of its parsed table, which later reads of the same
 bytes load in place of the text (``sample_store._read_csv_table``).
@@ -51,9 +52,6 @@ from .sample_store import (
 )
 
 DEFAULT_SEED = 42
-# Eigenvalues of the outlier matrix at or below this share of the largest
-# count as zero: they are round-off in the null space of V.
-_RANK_TOLERANCE = 1e-10
 
 
 def _stderr_line(record: dict) -> None:
@@ -120,7 +118,7 @@ def cmd_influence(args: argparse.Namespace) -> int:
     samples = load_samples(args.loglik, args.meta)
     # every input is read and checked before the first artifact is written
     result = None
-    if args.groups is not None:
+    if args.command == "conflict":
         groups = load_group_map(args.groups)
         result = influence_mod.cross_conflict(
             samples, groups, factor_two=args.pv_group_factor == "on"
@@ -173,10 +171,7 @@ def cmd_outliers(args: argparse.Namespace) -> int:
     cov = influence_mod.loglik_covariance(samples)
     hat = leverage_mod.hat_values(pred, seed=args.seed, symmetrize=args.kl_symmetrize)
     decomposition = outliers_mod.outlier_matrix(cov, hat)
-    # The eigenvectors past the numerical rank span the null space in a basis
-    # that round-off in V can rotate, so only the top ``rank`` are written.
-    tolerance = _RANK_TOLERANCE * float(decomposition.eigenvalues[0])
-    numerical_rank = int(np.count_nonzero(decomposition.eigenvalues > tolerance))
+    numerical_rank = decomposition.eigenvalues.size
     rank = args.trunc_rank if args.trunc_rank is not None else numerical_rank
     truncated = outliers_mod.truncated_clout(decomposition, rank)
     write_csv_rows(
@@ -197,7 +192,7 @@ def cmd_outliers(args: argparse.Namespace) -> int:
             **_fields(decomposition, "obs_ids", "clout", "eigenvalues"),
             "eigenvectors": decomposition.eigenvectors[:, :rank],
             "numerical_rank": numerical_rank,
-            "rank_tolerance": tolerance,
+            "rank_tolerance": decomposition.rank_tolerance,
             "truncation_rank": rank,
             "clout_truncated": truncated,
         },
@@ -294,27 +289,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, seeded=False):
         p.add_argument("--out", default=".", help="output directory (created if absent)")
-        p.add_argument(
-            "--seed",
-            type=_checked(int, lambda seed: seed >= 0, "a non-negative integer"),
-            default=DEFAULT_SEED,
-            help=f"seed of simulate and of the hat-value pairing (default {DEFAULT_SEED})",
-        )
+        if seeded:
+            p.add_argument(
+                "--seed",
+                type=_checked(int, lambda seed: seed >= 0, "a non-negative integer"),
+                default=DEFAULT_SEED,
+                help=f"seed of simulate and of the hat-value pairing (default {DEFAULT_SEED})",
+            )
 
     for command, help_text in (
         ("influence", "per-observation influence and penalties"),
-        ("conflict", "influence with a required group map"),
+        ("conflict", "influence plus per-group cross-conflict from a group map"),
     ):
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--loglik", required=True, help="log-likelihood draws CSV")
         p.add_argument("--meta", required=True, help="chain metadata JSON")
-        p.add_argument(
-            "--groups",
-            required=command == "conflict",
-            help="group map JSON for cross-conflict",
-        )
+        if command == "conflict":
+            p.add_argument("--groups", required=True, help="group map JSON")
+            p.add_argument("--pv-group-factor", choices=("on", "off"), default="on",
+                           help="keep the calibration factor 2 in per-group p_v")
         p.add_argument(
             "--threshold",
             # nan never flags and would be written as non-standard JSON
@@ -323,12 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="conflict flag level",
         )
         p.add_argument("--strict", action="store_true", help="exit 2 when flagged")
-        p.add_argument(
-            "--pv-group-factor",
-            choices=("on", "off"),
-            default="on",
-            help="keep the calibration factor 2 in per-group p_v",
-        )
         p.set_defaults(handler=cmd_influence)
         add_common(p)
 
@@ -339,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kl-symmetrize", action="store_true", help="average both KL directions"
     )
     p_lev.set_defaults(handler=cmd_leverage)
-    add_common(p_lev)
+    add_common(p_lev, seeded=True)
 
     p_out = sub.add_parser("outliers", help="outlier matrix, CLOUT, scree table")
     p_out.add_argument("--loglik", required=True)
@@ -348,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_out.add_argument(
         "--trunc-rank",
         type=int,
-        help="eigenpairs kept in clout_truncated and written to eigen.json "
-        "(default: the numerical rank)",
+        help="eigenpairs kept in clout_truncated and written to eigen.json, "
+        "from 1 to the numerical rank (default: the numerical rank)",
     )
     p_out.add_argument("--kl-symmetrize", action="store_true")
     p_out.set_defaults(handler=cmd_outliers)
-    add_common(p_out)
+    add_common(p_out, seeded=True)
 
     p_ora = sub.add_parser("oracle", help="closed-form conjugate linear diagnostics")
     p_ora.add_argument("--spec", required=True, help="model spec JSON (X, y, sigma2, Psi)")
@@ -373,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--leverage-idx", type=int, help="plant a leverage point here")
     p_sim.add_argument("--leverage-shift", type=float, default=5.0)
     p_sim.set_defaults(handler=cmd_simulate)
-    add_common(p_sim)
+    add_common(p_sim, seeded=True)
 
     return parser
 

@@ -314,20 +314,22 @@ def plant_anomalies(
     )
 
 
+_MAX_CONDITION = 1e6
+
+
 def random_spec(
     rng: np.random.Generator,
     *,
     n_obs: int | None = None,
     n_params: int | None = None,
     informative_prior: bool | None = None,
-    max_condition: float = 1e6,
 ) -> LinearModelSpec:
     """Randomized well-conditioned spec for property tests and demos.
 
     Design entries are i.i.d. standard normal with n in [5, 50] and p in
     [1, 5]; the prior precision is zero or a random positive semidefinite
-    matrix. Specs whose posterior precision exceeds the condition cap are
-    redrawn.
+    matrix. Specs whose posterior precision has a condition number above
+    ``_MAX_CONDITION`` are redrawn.
     """
     for _ in range(100):
         n = int(n_obs) if n_obs is not None else int(rng.integers(5, 51))
@@ -347,7 +349,7 @@ def random_spec(
         else:
             prior = np.zeros((p, p))
         precision = prior * sigma2 + design.T @ design
-        if np.linalg.cond(precision) <= max_condition:
+        if np.linalg.cond(precision) <= _MAX_CONDITION:
             return LinearModelSpec(
                 design=design,
                 outcomes=outcomes,

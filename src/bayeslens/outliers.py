@@ -6,7 +6,8 @@ diagonal is the per-observation influence/leverage ratio and its principal
 eigenvector is the maximally outlying perturbation direction. The
 eigendecomposition is LAPACK's symmetric solver behind ``numpy.linalg.eigh``,
 followed by a fixed sign and ordering convention so that the eigenvectors
-written to disk do not depend on the solver's arbitrary choices.
+written to disk do not depend on the solver's arbitrary choices. Only the
+eigenpairs above round-off, 1..k for the numerical rank k, are kept.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from .errors import (
 )
 from .influence import CovMatrix, _as_direction
 from .leverage import HatValues
+
+# Eigenvalues of the outlier matrix at or below this share of the largest
+# count as zero: they are round-off in the null space of V.
+_RANK_TOLERANCE = 1e-10
 
 
 def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -50,11 +55,12 @@ def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class OutlierDecomposition:
-    """Outlier matrix with its eigensystem and per-observation diagnostics."""
+    """Outlier matrix, its k eigenpairs above ``rank_tolerance``, and CLOUT."""
 
     omega: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    rank_tolerance: float
     clout: np.ndarray
     obs_ids: tuple[str, ...]
 
@@ -100,10 +106,15 @@ def outlier_matrix(cov, hat) -> OutlierDecomposition:
     omega = scale * matrix * np.outer(inv_root, inv_root)
     omega = (omega + omega.T) / 2.0
     eigenvalues, eigenvectors = symmetric_eigendecomposition(omega)
+    # Eigenpairs past the numerical rank k are round-off in the null space of V.
+    # The k kept stay a view: a copy's layout moves truncated_clout's low bits.
+    tolerance = _RANK_TOLERANCE * float(eigenvalues[0])
+    rank = int(np.count_nonzero(eigenvalues > tolerance))
     return OutlierDecomposition(
         omega=omega,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
+        eigenvalues=eigenvalues[:rank],
+        eigenvectors=eigenvectors[:, :rank],
+        rank_tolerance=tolerance,
         clout=np.diag(omega).copy(),
         obs_ids=obs_ids,
     )
@@ -117,19 +128,15 @@ def clout_direction(decomposition: OutlierDecomposition, eps) -> float:
 
 def truncated_clout(decomposition: OutlierDecomposition, rank: int) -> np.ndarray:
     """Per-observation outlier statistic restricted to the top ``rank`` eigenvalues."""
-    size = decomposition.n_obs
+    size = decomposition.eigenvalues.size
     if not 1 <= rank <= size:
-        raise RankOutOfRange(f"rank must lie in [1, {size}], got {rank}")
+        raise RankOutOfRange(f"rank must lie in [1, {size}] (the numerical rank), got {rank}")
     top = decomposition.eigenvectors[:, :rank] ** 2
     return top @ decomposition.eigenvalues[:rank]
 
 
 def scree(decomposition: OutlierDecomposition) -> list[tuple[int, float, float]]:
-    """Rows of (rank, eigenvalue, cumulative eigenvalue share) for plot tooling."""
-    total = float(np.sum(decomposition.eigenvalues))
-    running = 0.0
-    rows = []
-    for rank, value in enumerate(decomposition.eigenvalues, start=1):
-        running += float(value)
-        rows.append((rank, float(value), running / total))
-    return rows
+    """Rows of (rank, eigenvalue, cumulative eigenvalue share), 1..k, for plot tooling."""
+    values = decomposition.eigenvalues
+    shares = np.cumsum(values) / float(np.sum(values))
+    return list(zip(range(1, values.size + 1), values.tolist(), shares.tolist()))

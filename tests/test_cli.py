@@ -169,9 +169,10 @@ class TestInfluenceCommand:
         groups = tmp_path / "groups.json"
         groups.write_text('{"a": "g", "b": "g"}')
         out = tmp_path / "out"
+        inputs = ["--groups", str(groups)] if command == "conflict" else []
         code = main(
-            [command, "--loglik", str(loglik), "--meta", str(meta),
-             "--groups", str(groups), f"--threshold={threshold}", "--out", str(out)]
+            [command, "--loglik", str(loglik), "--meta", str(meta), *inputs,
+             f"--threshold={threshold}", "--out", str(out)]
         )
         assert code == 1
         assert_one_error_line(capsys, "InvalidParameter")
@@ -262,12 +263,40 @@ class TestUsageErrors:
          ("--pv-group-factor", "maybe")],
     )
     def test_message_names_flag_and_value(self, tmp_path, capsys, flag, value):
+        """Each flag is given to a command that takes it."""
         loglik, meta = write_toy(tmp_path)
-        code = main(["influence", "--loglik", str(loglik), "--meta", str(meta),
-                     f"{flag}={value}", "--out", str(tmp_path / "out")])
+        inputs = {
+            "--threshold": ["influence", "--loglik", str(loglik)],
+            "--seed": ["leverage", "--pred", str(loglik)],
+            "--pv-group-factor": ["conflict", "--loglik", str(loglik),
+                                  "--groups", str(tmp_path / "groups.json")],
+        }[flag]
+        code = main([*inputs, "--meta", str(meta), f"{flag}={value}",
+                     "--out", str(tmp_path / "out")])
         assert code == 1
         message = json.loads(capsys.readouterr().err)["message"]
         assert flag in message and repr(value) in message, message
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("influence", ["--groups", "groups.json"]), ("influence", ["--seed", "1"]),
+         ("conflict", ["--groups", "groups.json", "--seed", "1"]),
+         ("influence", ["--pv-group-factor", "on"]), ("oracle", ["--seed", "1"])],
+        ids=["influence_groups", "influence_seed", "conflict_seed",
+             "influence_pv_group_factor", "oracle_seed"],
+    )
+    def test_flag_the_command_does_not_take(self, demo_corpus, tmp_path, capsys,
+                                            command, flags):
+        """Only ``conflict`` takes a group map, and only ``simulate``,
+        ``leverage`` and ``outliers`` take a seed: elsewhere either flag is
+        unknown, and the command exits 1 with one JSON line, writing nothing."""
+        out = tmp_path / "out"
+        argv = [command] + [str(demo_corpus / f) if f.endswith(".json") else f for f in flags]
+        for flag, name in NEEDS[command].items():
+            argv += [flag, str(demo_corpus / name)]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert_one_error_line(capsys, "InvalidParameter")
+        assert not out.exists()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -475,18 +504,19 @@ class TestSimulateAndPipeline:
 
     def test_eigen_json_stops_at_the_numerical_rank(self, tmp_path):
         """The demo's log-likelihoods are quadratic in 3 parameters, so V has
-        rank 3 + 6 = 9: eigen.json holds 40 eigenvalues, 9 eigenvectors, and
-        a truncated CLOUT equal to the CLOUT up to round-off."""
+        rank 3 + 6 = 9: eigen.json holds 9 eigenvalues, all above the
+        tolerance, 9 eigenvectors, and a truncated CLOUT equal to the CLOUT up
+        to round-off; scree.csv has 9 rows."""
         _, diag = self.run_pipeline(tmp_path)
         eigen = read_json(diag / "eigen.json")
         eigenvalues = np.array(eigen["eigenvalues"])
         assert eigen["numerical_rank"] == eigen["truncation_rank"] == 9
         assert eigen["rank_tolerance"] == 1e-10 * eigenvalues[0]
-        assert np.count_nonzero(eigenvalues > eigen["rank_tolerance"]) == 9
-        assert eigenvalues.shape == (40,)
+        assert np.all(eigenvalues > eigen["rank_tolerance"])
+        assert eigenvalues.shape == (9,)
         assert np.array(eigen["eigenvectors"]).shape == (40, 9)
         np.testing.assert_allclose(eigen["clout_truncated"], eigen["clout"], rtol=1e-12)
-        assert len((diag / "scree.csv").read_text().splitlines()) == 1 + 40
+        assert len((diag / "scree.csv").read_text().splitlines()) == 1 + 9
 
     def test_full_rank_writes_every_eigenvector(self, tmp_path):
         """With a full-rank V, as Poisson and gamma log-likelihoods give, the
@@ -499,17 +529,19 @@ class TestSimulateAndPipeline:
         assert eigen["numerical_rank"] == eigen["truncation_rank"] == 5
         assert np.array(eigen["eigenvectors"]).shape == (5, 5)
 
-    def test_trunc_rank_out_of_range(self, tmp_path, capsys):
-        corpus, _ = self.run_pipeline(tmp_path)
-        code = main(
-            ["outliers", "--loglik", str(corpus / "loglik.csv"),
-             "--meta", str(corpus / "metadata.json"),
-             "--pred", str(corpus / "predictive.csv"),
-             "--trunc-rank", "99", "--out", str(tmp_path / "bad")]
-        )
-        assert code == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "RankOutOfRange"
+    def test_trunc_rank_out_of_range(self, demo_corpus, tmp_path, capsys):
+        """The demo's numerical rank is 9 of n = 40: a rank past it, whose
+        eigenvectors would be round-off, exits 1 with one JSON line and
+        writes nothing."""
+        for rank in ("10", "99"):
+            out = tmp_path / rank
+            code = main(["outliers", "--loglik", str(demo_corpus / "loglik.csv"),
+                         "--meta", str(demo_corpus / "metadata.json"),
+                         "--pred", str(demo_corpus / "predictive.csv"),
+                         "--trunc-rank", rank, "--out", str(out)])
+            assert code == 1
+            assert_one_error_line(capsys, "RankOutOfRange")
+            assert not out.exists()
 
     def test_report_csv_numbers_round_trip(self, tmp_path):
         """CSV cells reparse to the exact float64 values of the JSON report."""
@@ -566,7 +598,7 @@ ARTIFACT_PAIRS = {
     "scree": (
         "eigen.json",
         "rank,eigenvalue,cumulative_share",
-        40,
+        9,
         lambda j: [list(range(1, len(j["eigenvalues"]) + 1)), j["eigenvalues"],
                    (np.cumsum(j["eigenvalues"]) / np.sum(j["eigenvalues"])).tolist()],
     ),
@@ -600,7 +632,7 @@ def demo_diagnostics(tmp_path_factory):
         str(corpus / name) for name in ("loglik.csv", "metadata.json", "predictive.csv")
     )
     for argv in (
-        ["influence", "--loglik", loglik, "--meta", meta, "--groups", str(groups),
+        ["conflict", "--loglik", loglik, "--meta", meta, "--groups", str(groups),
          "--threshold", "1.1"],
         ["leverage", "--pred", pred, "--meta", meta],
         ["outliers", "--loglik", loglik, "--meta", meta, "--pred", pred,
@@ -1051,13 +1083,13 @@ NEEDS = {
     "simulate": {},
 }
 OPTIONS = {
-    "influence": ["--groups", "--threshold", "--strict", "--pv-group-factor"],
+    "influence": ["--threshold", "--strict"],
     "conflict": ["--threshold", "--strict", "--pv-group-factor"],
-    "leverage": ["--kl-symmetrize"],
-    "outliers": ["--trunc-rank", "--kl-symmetrize"],
+    "leverage": ["--kl-symmetrize", "--seed"],
+    "outliers": ["--trunc-rank", "--kl-symmetrize", "--seed"],
     "oracle": [],
     "simulate": ["--chains", "--outlier-idx", "--outlier-scale", "--leverage-idx",
-                 "--leverage-shift"],
+                 "--leverage-shift", "--seed"],
 }
 JUNK = ("", "-", "--", "-x", "--bogus", "nan", "-inf", "1e999", "0x10", "on",
         "influence", "--threshold=nan", "--seed=-1", "--draws=", "--trunc-rank=0")
@@ -1093,7 +1125,8 @@ def fuzz_argv(draw, corpus):
             argv += [flag, str(corpus / name)]
         elif how != "drop" or name is None:
             argv += [flag, draw(values[flag])]
-    own = OPTIONS.get(command, []) + ["--seed"]
+    # a command with no flags of its own draws from every flag
+    own = OPTIONS.get(command) or sorted(values)
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["own"] * 6 + ["any", "junk"]))
         if kind == "junk":

@@ -88,11 +88,35 @@ class TestSymmetricEigendecomposition:
 
 class TestOutlierMatrix:
     def test_hand_example(self):
-        """Unit hat-values rescale V by tr(H)/tr(V) = 2/5; rank-1 spectrum (2, 0)."""
+        """Unit hat-values rescale V by tr(H)/tr(V) = 2/5; rank-1 spectrum (2, 0),
+        of which only the eigenvalue above round-off is kept."""
         dec = outlier_matrix(V_TOY, H_TOY)
         np.testing.assert_allclose(dec.omega, [[0.4, 0.8], [0.8, 1.6]], rtol=1e-15)
         np.testing.assert_allclose(dec.clout, [0.4, 1.6], rtol=1e-15)
-        np.testing.assert_allclose(dec.eigenvalues, [2.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(dec.eigenvalues, [2.0], rtol=1e-12)
+        assert dec.eigenvectors.shape == (2, 1)
+
+    def test_full_rank_keeps_every_pair(self):
+        """A full-rank V keeps all n eigenpairs, each above the tolerance."""
+        rng = np.random.default_rng(51)
+        cov = np.cov(rng.standard_normal((90, 6)), rowvar=False, ddof=1)
+        dec = outlier_matrix(cov, rng.uniform(0.1, 1.0, 6))
+        assert dec.eigenvalues.shape == (6,) and dec.eigenvectors.shape == (6, 6)
+        assert dec.rank_tolerance == 1e-10 * dec.eigenvalues[0]
+        assert np.all(dec.eigenvalues > dec.rank_tolerance)
+        assert scree(dec)[-1][2] == 1.0
+
+    def test_keeps_the_pairs_above_the_tolerance(self):
+        """Eigenpairs 1..k of a rank-k V are kept, as views of the solver's
+        output, and the round-off eigenvalues are dropped."""
+        rng = np.random.default_rng(52)
+        root = rng.standard_normal((7, 3))
+        dec = outlier_matrix(root @ root.T, rng.uniform(0.1, 1.0, 7))
+        values, vectors = symmetric_eigendecomposition(dec.omega)
+        assert np.all(np.abs(values[3:]) <= dec.rank_tolerance)
+        np.testing.assert_array_equal(dec.eigenvalues, values[:3])
+        np.testing.assert_array_equal(dec.eigenvectors, vectors[:, :3])
+        assert dec.eigenvectors.base is not None
 
     def test_proportional_influence_gives_constant_clout(self):
         """V = c * diag(h) collapses the outlier matrix to a multiple of I."""
@@ -220,20 +244,18 @@ class TestTruncatedClout:
             previous = current
 
     def test_rank_out_of_range(self):
+        """Ranks run from 1 to the numerical rank, here 1 of n = 2."""
         dec = outlier_matrix(V_TOY, H_TOY)
-        with pytest.raises(RankOutOfRange):
-            truncated_clout(dec, 0)
-        with pytest.raises(RankOutOfRange):
-            truncated_clout(dec, 3)
+        for rank in (0, dec.eigenvalues.size + 1, 3):
+            with pytest.raises(RankOutOfRange, match=r"\[1, 1\]"):
+                truncated_clout(dec, rank)
 
 
 class TestScree:
     def test_rank_one_shares(self):
+        """A rank-one outlier matrix has one scree row, holding all the share."""
         dec = outlier_matrix(V_TOY, H_TOY)
-        rows = scree(dec)
-        assert [r[0] for r in rows] == [1, 2]
-        assert rows[0][2] == pytest.approx(1.0)
-        assert rows[1][2] == pytest.approx(1.0)
+        assert scree(dec) == [(1, pytest.approx(2.0), 1.0)]
 
     def test_equal_eigenvalues(self):
         rng = np.random.default_rng(50)
