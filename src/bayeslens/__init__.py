@@ -34,7 +34,6 @@ from .outliers import (
     clout_direction,
     outlier_matrix,
     scree,
-    symmetric_eigendecomposition,
     truncated_clout,
 )
 from .sample_store import (
@@ -82,6 +81,5 @@ __all__ = [
     "plant_anomalies",
     "random_spec",
     "scree",
-    "symmetric_eigendecomposition",
     "truncated_clout",
 ]

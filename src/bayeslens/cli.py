@@ -1,7 +1,8 @@
 """Command-line front end: ingestion -> diagnostics -> plot-ready tables.
 
 Subcommands: influence, leverage, outliers, conflict (influence plus the
-per-group cross-conflict of a required group map), oracle, simulate. The
+per-group cross-conflict of a required group map, whose ``p_v`` is twice the
+variance of each group's summed log-likelihood), oracle, simulate. The
 handlers here define the CSV and JSON format of every artifact; the library's
 result objects are plain data. ``--seed`` (default 42), taken only by
 ``simulate``, ``leverage`` and ``outliers``, drives ``simulate``'s draws and
@@ -11,7 +12,8 @@ at all. A text cell of a CSV artifact (an id, a label, a header name) is
 quoted by RFC 4180's minimal rule when it holds a comma, a double quote or a
 line break. ``outliers`` writes the eigenvalues 1..r of the numerical rank r
 that ``outlier_matrix`` decides, and into ``eigen.json`` the eigenvectors
-1..k, where k is ``--trunc-rank`` (at most r) or else r.
+1..k, where k is ``--trunc-rank`` (at most r) or else r; the last
+``cumulative_share`` of ``scree.csv`` is exactly 1.
 Besides ``--out``, a command may write one sidecar beside each input CSV: a
 ``<csv>.<sha256>.npy`` copy of its parsed table, which later reads of the same
 bytes load in place of the text (``sample_store._read_csv_table``).
@@ -106,7 +108,7 @@ def _write_group_conflict(args: argparse.Namespace, result) -> None:
     dump_json(
         _out_path(args, "group_conflict.json"),
         {
-            **_fields(result, "group_labels", "p_v", "p_w", "ratio", "factor_two"),
+            **_fields(result, "group_labels", "p_v", "p_w", "ratio"),
             "zero_trace_groups": result.zero_trace,
             "flagged_groups": sorted(flagged),
             "threshold": args.threshold,
@@ -120,9 +122,7 @@ def cmd_influence(args: argparse.Namespace) -> int:
     result = None
     if args.command == "conflict":
         groups = load_group_map(args.groups)
-        result = influence_mod.cross_conflict(
-            samples, groups, factor_two=args.pv_group_factor == "on"
-        )
+        result = influence_mod.cross_conflict(samples, groups)
     report = influence_mod.influence_report(
         samples, conflict_threshold=args.threshold
     )
@@ -308,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--meta", required=True, help="chain metadata JSON")
         if command == "conflict":
             p.add_argument("--groups", required=True, help="group map JSON")
-            p.add_argument("--pv-group-factor", choices=("on", "off"), default="on",
-                           help="keep the calibration factor 2 in per-group p_v")
         p.add_argument(
             "--threshold",
             # nan never flags and would be written as non-standard JSON

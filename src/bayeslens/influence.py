@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .errors import (
     ZeroTrace,
 )
 from .families import check_params, is_whole
+from .moments import block_moments, co_moments, mcse, pool, row_selector
 from .sample_store import (
     GroupMap,
     LogLikSamples,
@@ -83,14 +83,14 @@ class Perturbation:
         """Common perturbation of every observation at once."""
         return cls(np.ones(size))
 
-
-def _as_direction(eps, size: int) -> np.ndarray:
-    vec = eps.eps if isinstance(eps, Perturbation) else np.asarray(eps, dtype=float).ravel()
-    if vec.shape != (size,):
-        raise InvalidParameter(f"perturbation has length {vec.shape[0]}, expected {size}")
-    if not np.any(vec != 0.0):
-        raise ZeroPerturbation("perturbation direction is identically zero")
-    return vec
+    @classmethod
+    def vector(cls, eps, size: int) -> np.ndarray:
+        """``eps`` (a Perturbation or a sequence) as a direction of ``size``
+        entries: its length is checked first, then that it is not zero."""
+        vec = eps.eps if isinstance(eps, cls) else np.asarray(eps, dtype=float).ravel()
+        if vec.shape != (size,):
+            raise InvalidParameter(f"perturbation has length {vec.shape[0]}, expected {size}")
+        return cls(vec).eps
 
 
 def _require_draws(values: np.ndarray) -> None:
@@ -98,144 +98,17 @@ def _require_draws(values: np.ndarray) -> None:
         raise DegenerateSample("need at least 2 draws")
 
 
-# Draws per block of the covariance fold and of the hat-value pairs: about 1 MB.
-_BLOCK_BYTES = 1 << 20
-
-
 def loglik_covariance(samples: LogLikSamples) -> CovMatrix:
     """Unbiased sample covariance of the log-likelihood columns, pooled over chains.
 
-    The co-moments come from a fold over blocks of draws (``_co_moments``),
+    The co-moments come from a fold over blocks of draws (``moments.co_moments``),
     so the result differs from ``numpy.cov``'s by round-off (about 2e-15 of
     its largest entry).
     """
     _require_draws(samples.values)
-    comoment = _co_moments(samples.values)
+    comoment = co_moments(samples.values)
     comoment /= samples.n_draws - 1
     return CovMatrix(matrix=comoment, obs_ids=samples.obs_ids)
-
-
-def _co_moments(values: np.ndarray) -> np.ndarray:
-    """The n x n centred co-moment matrix of the columns of ``values``.
-
-    A left fold over contiguous blocks of rows: each block is centred on its
-    own mean, its co-moment matrix is one BLAS product, and it is merged into
-    the running co-moments in place by Chan, Golub & LeVeque (1979). The
-    scratch is one block and one n x n buffer whatever the number of rows.
-    """
-    n_rows, n_cols = values.shape
-    # At least 4n rows: each merge costs n x n work, and with n-row blocks the
-    # fold was slower than np.cov (109 vs 96 ms at 20000 x 400, 359 vs 240 ms
-    # at 4000 x 2000).
-    rows = min(n_rows, max(4 * n_cols, _BLOCK_BYTES // values[0].nbytes))
-    mean = values[:rows].mean(axis=0)
-    work = values[:rows] - mean
-    comoment = work.T @ work
-    buffer = np.empty_like(comoment) if rows < n_rows else None
-    count = rows
-    for start in range(rows, n_rows, rows):
-        block = values[start:start + rows]
-        size = block.shape[0]
-        block_mean = block.mean(axis=0)
-        centred = np.subtract(block, block_mean, out=work[:size])
-        comoment += np.matmul(centred.T, centred, out=buffer)
-        delta = block_mean - mean
-        comoment += np.multiply.outer(delta, delta * (count * size / (count + size)), out=buffer)
-        count += size
-        mean += delta * (size / count)
-    return comoment
-
-
-class _Sums(NamedTuple):
-    """Moments of a set of rows: the row count, the sums along the rows and
-    the centred sums of squares."""
-
-    count: int
-    total: np.ndarray | float
-    sq_dev: np.ndarray | float
-
-
-def _centred_sums(block: np.ndarray, work: np.ndarray) -> _Sums:
-    """The ``_Sums`` of ``block`` along its first axis; ``work`` (``block``'s
-    shape, and ``block`` itself when it may be overwritten) receives the
-    squared deviations.
-
-    The steps repeat ``numpy.var``'s (sum, divide, subtract, square, sum), so
-    ``sq_dev / (count - 1)`` equals ``block.var(axis=0, ddof=1)`` bit for bit.
-    """
-    count = block.shape[0]
-    total = block.sum(axis=0)
-    np.subtract(block, total / count, out=work)
-    np.square(work, out=work)
-    return _Sums(count, total, work.sum(axis=0))
-
-
-def _merge_sums(a, b) -> _Sums:
-    """The ``_Sums`` of the union of two disjoint sets of rows from each
-    set's ``count``, ``total`` and ``sq_dev``, merged by Chan, Golub &
-    LeVeque (1979)."""
-    count = a.count + b.count
-    delta = b.total / b.count - a.total / a.count
-    return _Sums(
-        count,
-        a.total + b.total,
-        a.sq_dev + b.sq_dev + delta * delta * (a.count * b.count / count),
-    )
-
-
-class _Moments(NamedTuple):
-    """Column moments of a block of draws: the ``_Sums`` fields, then
-    maxima, minima and sums of ``exp(x - high)``."""
-
-    count: int
-    total: np.ndarray
-    sq_dev: np.ndarray
-    high: np.ndarray
-    low: np.ndarray
-    exp_sum: np.ndarray
-
-    def linf(self) -> np.ndarray:
-        return self.sq_dev / (self.count - 1)
-
-    def dinf(self) -> np.ndarray:
-        logmeanexp = self.high + np.log(self.exp_sum / self.count)
-        out = 2.0 * (logmeanexp - self.total / self.count)
-        # Jensen guarantees nonnegativity; clamp accumulation round-off and pin
-        # constant columns (Jensen equality) to exactly zero.
-        out = np.maximum(out, 0.0)
-        out[self.low == self.high] = 0.0
-        return out
-
-
-def _block_moments(block: np.ndarray, scratch: np.ndarray) -> _Moments:
-    """The moments of ``block``; ``scratch`` (at least as many rows as
-    ``block``) is the only temporary.
-
-    The steps repeat ``numpy.var``'s and the max-shifted log-mean-exp's, so
-    ``linf()`` and ``dinf()`` of one block equal ``block.var(axis=0, ddof=1)``
-    and its Jensen gap bit for bit.
-    """
-    work = scratch[:block.shape[0]]
-    sums = _centred_sums(block, work)
-    high = block.max(axis=0)
-    np.subtract(block, high, out=work)
-    np.exp(work, out=work)
-    return _Moments(*sums, high, block.min(axis=0), work.sum(axis=0))
-
-
-def _pool(blocks: list[_Moments]) -> _Moments:
-    """Moments of the union of the blocks' rows, merged pairwise: sums of
-    squares by ``_merge_sums``, extrema and shifted exp sums exactly."""
-    if len(blocks) == 1:
-        return blocks[0]
-    a, b = _pool(blocks[: len(blocks) // 2]), _pool(blocks[len(blocks) // 2:])
-    high = np.maximum(a.high, b.high)
-    return _Moments(
-        *_merge_sums(a, b),
-        high,
-        np.minimum(a.low, b.low),
-        a.exp_sum * np.exp(a.high - high) + b.exp_sum * np.exp(b.high - high),
-    )
 
 
 def clinf_direction(cov, eps) -> float:
@@ -244,7 +117,7 @@ def clinf_direction(cov, eps) -> float:
     trace = float(np.trace(matrix))
     if trace <= 0.0:
         raise ZeroTrace("trace of the covariance is zero: all log-likelihoods constant")
-    vec = _as_direction(eps, matrix.shape[0])
+    vec = Perturbation.vector(eps, matrix.shape[0])
     return float(vec @ matrix @ vec) / (trace * float(vec @ vec))
 
 
@@ -257,7 +130,6 @@ class CrossConflict:
     p_w: np.ndarray
     ratio: np.ndarray
     zero_trace: tuple[str, ...]
-    factor_two: bool
 
     def flagged(self, threshold: float = 3.0) -> tuple[str, ...]:
         hits = [
@@ -268,22 +140,18 @@ class CrossConflict:
         return tuple(hits)
 
 
-def cross_conflict(
-    samples: LogLikSamples, groups: GroupMap, *, factor_two: bool = True
-) -> CrossConflict:
+def cross_conflict(samples: LogLikSamples, groups: GroupMap) -> CrossConflict:
     """Conflict ratio between each group and the rest of the data.
 
-    For group g: p_v[g] is (twice, by default) the variance of the summed
-    log-likelihood of its members under a single common perturbation, while
-    p_w[g] sums the members' individual variances. ``factor_two=False``
-    drops the calibration factor from the group numerator.
+    For group g: p_v[g] is twice the variance of the summed log-likelihood of
+    its members under a single common perturbation, while p_w[g] sums the
+    members' individual variances.
     """
     members = group_members(samples, groups)
-    factor = 2.0 if factor_two else 1.0
     labels, pv_list, pw_list, ratio_list, bad = [], [], [], [], []
     for label, idx in members.items():
         block = samples.values[:, idx]
-        group_pv = factor * float(block.sum(axis=1).var(ddof=1))
+        group_pv = 2.0 * float(block.sum(axis=1).var(ddof=1))
         group_pw = float(block.var(axis=0, ddof=1).sum())
         labels.append(label)
         pv_list.append(group_pv)
@@ -299,7 +167,6 @@ def cross_conflict(
         p_w=np.array(pw_list),
         ratio=np.array(ratio_list),
         zero_trace=tuple(bad),
-        factor_two=factor_two,
     )
 
 
@@ -354,19 +221,6 @@ class InfluenceReport:
     n_chains: int
 
 
-def _row_selector(idx: np.ndarray) -> slice | np.ndarray:
-    """A slice, so that indexing gives a view, when the ascending row
-    indices ``idx`` are contiguous; otherwise ``idx`` itself (a gather)."""
-    if idx[-1] - idx[0] + 1 == idx.size:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
-def _mcse(replicates: list) -> np.ndarray | float:
-    stacked = np.stack([np.asarray(r, dtype=float) for r in replicates])
-    return stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
-
-
 def influence_report(
     samples: LogLikSamples, *, conflict_threshold: float = 3.0
 ) -> InfluenceReport:
@@ -384,10 +238,10 @@ def influence_report(
     replicated = all(len(g) >= 2 for g in groups_idx)
     if not replicated:
         groups_idx = [np.arange(values.shape[0])]
-    rows = [_row_selector(idx) for idx in groups_idx]
+    rows = [row_selector(idx) for idx in groups_idx]
     scratch = np.empty((max(len(idx) for idx in groups_idx), values.shape[1]))
-    blocks = [_block_moments(values[r], scratch) for r in rows]
-    pooled = _pool(blocks)
+    blocks = [block_moments(values[r], scratch) for r in rows]
+    pooled = pool(blocks)
     linf_vec = pooled.linf()
     dinf_vec = pooled.dinf()
     total_pw = float(np.sum(linf_vec))
@@ -407,14 +261,14 @@ def influence_report(
         rep_pws = [float(np.sum(v)) for v in rep_dinf]
         rep_pv = [2.0 * float(row_totals[r].var(ddof=1)) for r in rows]
         have_ratio = all(pw > 0.0 for pw in rep_pw)
-        linf_mcse = _mcse(rep_linf)
-        dinf_mcse = _mcse(rep_dinf)
-        pw_mcse = float(_mcse(rep_pw))
-        pws_mcse = float(_mcse(rep_pws))
-        pv_mcse = float(_mcse(rep_pv))
+        linf_mcse = mcse(rep_linf)
+        dinf_mcse = mcse(rep_dinf)
+        pw_mcse = float(mcse(rep_pw))
+        pws_mcse = float(mcse(rep_pws))
+        pv_mcse = float(mcse(rep_pv))
         if have_ratio:
-            clinf_mcse = _mcse([v / pw for v, pw in zip(rep_linf, rep_pw)])
-            ratio_mcse = float(_mcse([pv / pw for pv, pw in zip(rep_pv, rep_pw)]))
+            clinf_mcse = mcse([v / pw for v, pw in zip(rep_linf, rep_pw)])
+            ratio_mcse = float(mcse([pv / pw for pv, pw in zip(rep_pv, rep_pw)]))
         else:
             clinf_mcse = np.full(len(linf_vec), np.nan)
             ratio_mcse = math.nan

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import moments
 from .errors import (
     FlooredHatValues,
     InvalidParameter,
@@ -35,7 +36,7 @@ from .sample_store import (
     group_members,
     replicate_groups,
 )
-from .influence import _BLOCK_BYTES, _as_direction, _centred_sums, _merge_sums
+from .influence import Perturbation
 
 
 def family_kl(family: str, params1, params2):
@@ -154,7 +155,7 @@ def hat_values(
     # folded into running moments, so neither a permuted copy of the params
     # nor an array of all pair values is made. The KL is elementwise:
     # blocking leaves its bits.
-    block = min(n_pairs, max(1, _BLOCK_BYTES // pred.params[0].nbytes))
+    block = min(n_pairs, max(1, moments.BLOCK_BYTES // pred.params[0].nbytes))
     scratch = np.empty((block + 1, pred.n_obs))
     negative = np.zeros(pred.n_obs, dtype=int)
     for start in range(0, n_pairs, block):
@@ -172,11 +173,11 @@ def hat_values(
         scratch[0] = scratch[0 if start else 1:count + 1].sum(axis=0)
         negative += (values < 0.0).sum(axis=0)
         block_totals = values.sum(axis=1)
-        block_totals = _centred_sums(block_totals, block_totals)
-        block_columns = _centred_sums(values, values)  # overwrites the block
+        block_totals = moments.centred_sums(block_totals, block_totals)
+        block_columns = moments.centred_sums(values, values)  # overwrites the block
         if start:
-            block_totals = _merge_sums(pair_totals, block_totals)
-            block_columns = _merge_sums(columns, block_columns)
+            block_totals = moments.merge_sums(pair_totals, block_totals)
+            block_columns = moments.merge_sums(columns, block_columns)
         pair_totals, columns = block_totals, block_columns
 
     raw = scratch[0] / n_pairs
@@ -210,7 +211,7 @@ def cllev_direction(hat, eps) -> float:
     total = float(np.sum(values))
     if total <= 0.0:
         raise ZeroLeverage("total leverage is zero")
-    vec = _as_direction(eps, values.shape[0])
+    vec = Perturbation.vector(eps, values.shape[0])
     return float(np.sum(values * vec**2)) / (total * float(np.sum(vec**2)))
 
 

@@ -1,0 +1,156 @@
+"""Folds over blocks of posterior draws, behind every diagnostic.
+
+``linf``, ``dinf``, ``p_w``, ``p_v``, the covariance V and the hat-values
+are statistics of column moments of the draws. Each kernel takes the
+moments of one block of rows, and the moments of disjoint blocks merge by
+Chan, Golub & LeVeque (1979), so the scratch is a block whatever the number
+of draws. Variance convention: unbiased, denominator S - 1.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+# Draws per block of the covariance fold and of the hat-value pairs: about
+# 1 MB. Read at call time, so that one assignment changes both.
+BLOCK_BYTES = 1 << 20
+
+
+def co_moments(values: np.ndarray) -> np.ndarray:
+    """The n x n centred co-moment matrix of the columns of ``values``.
+
+    A left fold over contiguous blocks of rows: each block is centred on its
+    own mean, its co-moment matrix is one BLAS product, and it is merged into
+    the running co-moments in place by Chan, Golub & LeVeque (1979). The
+    scratch is one block and one n x n buffer whatever the number of rows.
+    """
+    n_rows, n_cols = values.shape
+    # At least 4n rows: each merge costs n x n work, and with n-row blocks the
+    # fold was slower than np.cov (109 vs 96 ms at 20000 x 400, 359 vs 240 ms
+    # at 4000 x 2000).
+    rows = min(n_rows, max(4 * n_cols, BLOCK_BYTES // values[0].nbytes))
+    mean = values[:rows].mean(axis=0)
+    work = values[:rows] - mean
+    comoment = work.T @ work
+    buffer = np.empty_like(comoment) if rows < n_rows else None
+    count = rows
+    for start in range(rows, n_rows, rows):
+        block = values[start:start + rows]
+        size = block.shape[0]
+        block_mean = block.mean(axis=0)
+        centred = np.subtract(block, block_mean, out=work[:size])
+        comoment += np.matmul(centred.T, centred, out=buffer)
+        delta = block_mean - mean
+        comoment += np.multiply.outer(delta, delta * (count * size / (count + size)), out=buffer)
+        count += size
+        mean += delta * (size / count)
+    return comoment
+
+
+class Sums(NamedTuple):
+    """Moments of a set of rows: the row count, the sums along the rows and
+    the centred sums of squares."""
+
+    count: int
+    total: np.ndarray | float
+    sq_dev: np.ndarray | float
+
+
+def centred_sums(block: np.ndarray, work: np.ndarray) -> Sums:
+    """The ``Sums`` of ``block`` along its first axis; ``work`` (``block``'s
+    shape, and ``block`` itself when it may be overwritten) receives the
+    squared deviations.
+
+    The steps repeat ``numpy.var``'s (sum, divide, subtract, square, sum), so
+    ``sq_dev / (count - 1)`` equals ``block.var(axis=0, ddof=1)`` bit for bit.
+    """
+    count = block.shape[0]
+    total = block.sum(axis=0)
+    np.subtract(block, total / count, out=work)
+    np.square(work, out=work)
+    return Sums(count, total, work.sum(axis=0))
+
+
+def merge_sums(a, b) -> Sums:
+    """The ``Sums`` of the union of two disjoint sets of rows from each
+    set's ``count``, ``total`` and ``sq_dev``, merged by Chan, Golub &
+    LeVeque (1979)."""
+    count = a.count + b.count
+    delta = b.total / b.count - a.total / a.count
+    return Sums(
+        count,
+        a.total + b.total,
+        a.sq_dev + b.sq_dev + delta * delta * (a.count * b.count / count),
+    )
+
+
+class Moments(NamedTuple):
+    """Column moments of a block of draws: the ``Sums`` fields, then
+    maxima, minima and sums of ``exp(x - high)``."""
+
+    count: int
+    total: np.ndarray
+    sq_dev: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+    exp_sum: np.ndarray
+
+    def linf(self) -> np.ndarray:
+        return self.sq_dev / (self.count - 1)
+
+    def dinf(self) -> np.ndarray:
+        logmeanexp = self.high + np.log(self.exp_sum / self.count)
+        out = 2.0 * (logmeanexp - self.total / self.count)
+        # Jensen guarantees nonnegativity; clamp accumulation round-off and pin
+        # constant columns (Jensen equality) to exactly zero.
+        out = np.maximum(out, 0.0)
+        out[self.low == self.high] = 0.0
+        return out
+
+
+def block_moments(block: np.ndarray, scratch: np.ndarray) -> Moments:
+    """The moments of ``block``; ``scratch`` (at least as many rows as
+    ``block``) is the only temporary.
+
+    The steps repeat ``numpy.var``'s and the max-shifted log-mean-exp's, so
+    ``linf()`` and ``dinf()`` of one block equal ``block.var(axis=0, ddof=1)``
+    and its Jensen gap bit for bit.
+    """
+    work = scratch[:block.shape[0]]
+    sums = centred_sums(block, work)
+    high = block.max(axis=0)
+    np.subtract(block, high, out=work)
+    np.exp(work, out=work)
+    return Moments(*sums, high, block.min(axis=0), work.sum(axis=0))
+
+
+def pool(blocks: list[Moments]) -> Moments:
+    """Moments of the union of the blocks' rows, merged pairwise: sums of
+    squares by ``merge_sums``, extrema and shifted exp sums exactly."""
+    if len(blocks) == 1:
+        return blocks[0]
+    a, b = pool(blocks[: len(blocks) // 2]), pool(blocks[len(blocks) // 2:])
+    high = np.maximum(a.high, b.high)
+    return Moments(
+        *merge_sums(a, b),
+        high,
+        np.minimum(a.low, b.low),
+        a.exp_sum * np.exp(a.high - high) + b.exp_sum * np.exp(b.high - high),
+    )
+
+
+def row_selector(idx: np.ndarray) -> slice | np.ndarray:
+    """A slice, so that indexing gives a view, when the ascending row
+    indices ``idx`` are contiguous; otherwise ``idx`` itself (a gather)."""
+    if idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def mcse(replicates: list) -> np.ndarray | float:
+    """Standard error of the mean of the replicate statistics."""
+    stacked = np.stack([np.asarray(r, dtype=float) for r in replicates])
+    return stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])

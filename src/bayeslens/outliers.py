@@ -4,10 +4,12 @@ The outlier matrix rescales the log-likelihood covariance by inverse
 root hat-values, ``(sum h / tr V) * V_ij / sqrt(h_i h_j)``, so that its
 diagonal is the per-observation influence/leverage ratio and its principal
 eigenvector is the maximally outlying perturbation direction. The
-eigendecomposition is LAPACK's symmetric solver behind ``numpy.linalg.eigh``,
-followed by a fixed sign and ordering convention so that the eigenvectors
-written to disk do not depend on the solver's arbitrary choices. Only the
-eigenpairs above round-off, 1..k for the numerical rank k, are kept.
+eigendecomposition is LAPACK's symmetric solver behind ``numpy.linalg.eigh``.
+Only the eigenpairs above round-off, 1..k for the numerical rank k, are
+kept, and only those get the fixed sign and ordering convention, so that the
+eigenvectors written to disk do not depend on the solver's arbitrary choices:
+each eigenvector's largest-magnitude entry is positive, and exact eigenvalue
+ties are ordered by the first differing eigenvector entry.
 """
 
 from __future__ import annotations
@@ -23,34 +25,12 @@ from .errors import (
     ZeroHatValue,
     ZeroTrace,
 )
-from .influence import CovMatrix, _as_direction
+from .influence import CovMatrix, Perturbation
 from .leverage import HatValues
 
 # Eigenvalues of the outlier matrix at or below this share of the largest
 # count as zero: they are round-off in the null space of V.
 _RANK_TOLERANCE = 1e-10
-
-
-def symmetric_eigendecomposition(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigensystem of a symmetric matrix via LAPACK (``numpy.linalg.eigh``).
-
-    Returns eigenvalues (descending) and the matching orthonormal eigenvector
-    columns. Sign convention: each eigenvector's largest-magnitude entry is
-    positive; exact eigenvalue ties are ordered by the first differing
-    eigenvector entry.
-    """
-    work = np.asarray(matrix, dtype=float)
-    if work.ndim != 2 or work.shape[0] != work.shape[1]:
-        raise InvalidParameter("matrix must be square")
-    eigenvalues, vectors = np.linalg.eigh(work)
-    # sign convention before ordering so that tie-breaking is deterministic
-    columns = np.arange(work.shape[0])
-    peaks = np.argmax(np.abs(vectors), axis=0)
-    vectors = vectors * np.where(vectors[peaks, columns] < 0.0, -1.0, 1.0)
-    # lexsort keys run from least to most significant: the eigenvalue decides,
-    # then the first eigenvector entry, then the second, ...
-    order = np.lexsort(np.vstack([-vectors[::-1], -eigenvalues]))
-    return eigenvalues[order], vectors[:, order]
 
 
 @dataclass(frozen=True)
@@ -105,15 +85,24 @@ def outlier_matrix(cov, hat) -> OutlierDecomposition:
     inv_root = 1.0 / np.sqrt(values)
     omega = scale * matrix * np.outer(inv_root, inv_root)
     omega = (omega + omega.T) / 2.0
-    eigenvalues, eigenvectors = symmetric_eigendecomposition(omega)
-    # Eigenpairs past the numerical rank k are round-off in the null space of V.
-    # The k kept stay a view: a copy's layout moves truncated_clout's low bits.
-    tolerance = _RANK_TOLERANCE * float(eigenvalues[0])
+    # LAPACK returns the eigenvalues ascending. Those past the numerical rank
+    # k are round-off in the null space of V, so only the last k pairs are
+    # signed and ordered.
+    eigenvalues, eigenvectors = np.linalg.eigh(omega)
+    tolerance = _RANK_TOLERANCE * float(eigenvalues[-1])
     rank = int(np.count_nonzero(eigenvalues > tolerance))
+    eigenvalues, eigenvectors = eigenvalues[-rank:], eigenvectors[:, -rank:]
+    # sign convention before ordering so that tie-breaking is deterministic
+    peaks = np.argmax(np.abs(eigenvectors), axis=0)
+    signs = np.where(eigenvectors[peaks, np.arange(rank)] < 0.0, -1.0, 1.0)
+    eigenvectors = eigenvectors * signs
+    # lexsort keys run from least to most significant: the eigenvalue decides,
+    # then the first eigenvector entry, then the second, ...
+    order = np.lexsort(np.vstack([-eigenvectors[::-1], -eigenvalues]))
     return OutlierDecomposition(
         omega=omega,
-        eigenvalues=eigenvalues[:rank],
-        eigenvectors=eigenvectors[:, :rank],
+        eigenvalues=eigenvalues[order],
+        eigenvectors=eigenvectors[:, order],
         rank_tolerance=tolerance,
         clout=np.diag(omega).copy(),
         obs_ids=obs_ids,
@@ -122,7 +111,7 @@ def outlier_matrix(cov, hat) -> OutlierDecomposition:
 
 def clout_direction(decomposition: OutlierDecomposition, eps) -> float:
     """Rayleigh quotient of the outlier matrix along a direction."""
-    vec = _as_direction(eps, decomposition.n_obs)
+    vec = Perturbation.vector(eps, decomposition.n_obs)
     return float(vec @ decomposition.omega @ vec) / float(vec @ vec)
 
 
@@ -138,5 +127,6 @@ def truncated_clout(decomposition: OutlierDecomposition, rank: int) -> np.ndarra
 def scree(decomposition: OutlierDecomposition) -> list[tuple[int, float, float]]:
     """Rows of (rank, eigenvalue, cumulative eigenvalue share), 1..k, for plot tooling."""
     values = decomposition.eigenvalues
-    shares = np.cumsum(values) / float(np.sum(values))
+    shares = np.cumsum(values)
+    shares /= shares[-1]
     return list(zip(range(1, values.size + 1), values.tolist(), shares.tolist()))

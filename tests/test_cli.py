@@ -213,12 +213,14 @@ class TestInfluenceCommand:
         assert err["error"] == "MalformedCsv"
         assert err["message"].endswith("no data rows")
 
-    def test_pv_group_factor_off(self, tmp_path):
+    def test_pv_group_factor_off(self, tmp_path, capsys):
+        """The per-group p_v always keeps its factor 2: ``--pv-group-factor``
+        is an unknown flag, refused with one JSON line, writing nothing."""
         loglik, meta = write_toy(tmp_path)
         groups = tmp_path / "groups.json"
         groups.write_text('{"a": "ga", "b": "gb"}')
         out = tmp_path / "out"
-        main(
+        code = main(
             [
                 "conflict",
                 "--loglik", str(loglik),
@@ -228,8 +230,9 @@ class TestInfluenceCommand:
                 "--pv-group-factor", "off",
             ]
         )
-        report = read_json(out / "group_conflict.json")
-        np.testing.assert_allclose(report["ratio"], [1.0, 1.0])
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidParameter")
+        assert not out.exists()
 
 
 def assert_one_error_line(capsys, error):
@@ -260,7 +263,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "flag, value",
         [("--threshold", "abc"), ("--seed", "-1"), ("--seed", "x"),
-         ("--pv-group-factor", "maybe")],
+         ("--trunc-rank", "abc")],
     )
     def test_message_names_flag_and_value(self, tmp_path, capsys, flag, value):
         """Each flag is given to a command that takes it."""
@@ -268,8 +271,7 @@ class TestUsageErrors:
         inputs = {
             "--threshold": ["influence", "--loglik", str(loglik)],
             "--seed": ["leverage", "--pred", str(loglik)],
-            "--pv-group-factor": ["conflict", "--loglik", str(loglik),
-                                  "--groups", str(tmp_path / "groups.json")],
+            "--trunc-rank": ["outliers", "--loglik", str(loglik), "--pred", str(loglik)],
         }[flag]
         code = main([*inputs, "--meta", str(meta), f"{flag}={value}",
                      "--out", str(tmp_path / "out")])
@@ -1084,7 +1086,7 @@ NEEDS = {
 }
 OPTIONS = {
     "influence": ["--threshold", "--strict"],
-    "conflict": ["--threshold", "--strict", "--pv-group-factor"],
+    "conflict": ["--threshold", "--strict"],
     "leverage": ["--kl-symmetrize", "--seed"],
     "outliers": ["--trunc-rank", "--kl-symmetrize", "--seed"],
     "oracle": [],
@@ -1109,7 +1111,6 @@ def fuzz_argv(draw, corpus):
         "--spec": paths, "--seed": ints, "--draws": ints, "--chains": ints,
         "--trunc-rank": ints, "--outlier-idx": ints, "--leverage-idx": ints,
         "--threshold": floats, "--outlier-scale": floats, "--leverage-shift": floats,
-        "--pv-group-factor": st.sampled_from(["on", "off", "maybe"]),
         "--strict": None, "--kl-symmetrize": None, "--demo": None,
     }
     command = draw(st.sampled_from([*NEEDS] * 3 + ["bogus", ""]))

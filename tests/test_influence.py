@@ -1,15 +1,11 @@
 """Influence diagnostics: covariance, penalties, conformal statistics."""
 
-import functools
 import math
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bayeslens import (
     CovMatrix,
@@ -20,7 +16,6 @@ from bayeslens import (
     bernoulli_pw,
     clinf_direction,
     cross_conflict,
-    influence,
     influence_report,
     loglik_covariance,
 )
@@ -31,7 +26,7 @@ from bayeslens.errors import (
     ZeroPerturbation,
     ZeroTrace,
 )
-from bayeslens.influence import _block_moments, _centred_sums, _merge_sums, _pool
+from bayeslens.moments import block_moments
 from bayeslens.sample_store import replicate_groups
 
 TOY = [[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]]
@@ -53,7 +48,7 @@ def report_of(samples):
 
 def one_pass(samples):
     """``linf`` and ``dinf`` of the whole draw array taken as one block."""
-    whole = _block_moments(samples.values, np.empty(samples.values.shape))
+    whole = block_moments(samples.values, np.empty(samples.values.shape))
     return whole.linf(), whole.dinf()
 
 
@@ -250,13 +245,11 @@ class TestCrossConflict:
         assert result.ratio[0] == pytest.approx(report_of(samples).conflict_ratio, rel=1e-12)
 
     def test_singleton_groups(self):
-        """Per-observation groups give 2*Var/Var = 2 with the factor, 1 without."""
+        """Per-observation groups give p_v = 2*Var and p_w = Var exactly."""
         samples = make(TOY)
-        identity = GroupMap.identity(samples.obs_ids)
-        with_factor = cross_conflict(samples, identity)
-        np.testing.assert_allclose(with_factor.ratio, [2.0, 2.0], rtol=1e-12)
-        without = cross_conflict(samples, identity, factor_two=False)
-        np.testing.assert_allclose(without.ratio, [1.0, 1.0], rtol=1e-12)
+        result = cross_conflict(samples, GroupMap.identity(samples.obs_ids))
+        np.testing.assert_array_equal(result.p_v, 2.0 * result.p_w)
+        np.testing.assert_allclose(result.ratio, [2.0, 2.0], rtol=1e-12)
 
     def test_hand_example(self):
         samples = make(TOY, ids=("a", "b"))
@@ -470,63 +463,6 @@ class TestBlockMoments:
         np.testing.assert_array_equal(report.linf, samples.values.var(axis=0, ddof=1))
         np.testing.assert_array_equal(report.dinf, _reference_dinf(samples.values))
         assert report.p_v == 2.0 * float(samples.values.sum(axis=1).var(ddof=1))
-
-    @settings(derandomize=True, deadline=None, max_examples=100)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        draws=st.integers(2, 120),
-        n_obs=st.integers(1, 5),
-        cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
-    )
-    def test_pooling_any_contiguous_split(self, seed, draws, n_obs, cuts):
-        values = _spread_draws(np.random.default_rng(seed), draws, n_obs)
-        edges = sorted({0, draws, *(int(c * draws) for c in cuts)})
-        scratch = np.empty(values.shape)
-        pooled = _pool([_block_moments(values[a:b], scratch) for a, b in zip(edges, edges[1:])])
-        whole = _block_moments(values, scratch)
-        assert pooled.count == whole.count
-        np.testing.assert_array_equal(pooled.high, whole.high)
-        np.testing.assert_array_equal(pooled.low, whole.low)
-        np.testing.assert_allclose(pooled.linf(), whole.linf(), rtol=1e-12)
-        np.testing.assert_allclose(pooled.dinf(), whole.dinf(), rtol=1e-9)
-
-    @settings(derandomize=True, deadline=None, max_examples=100)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        draws=st.integers(2, 120),
-        n_obs=st.integers(1, 5),
-        cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
-    )
-    def test_merge_sums_any_contiguous_split(self, seed, draws, n_obs, cuts):
-        """Folding the parts' sums in order, as hat_values does, gives the
-        sums of the whole, for columns and for row totals alike."""
-        values = _spread_draws(np.random.default_rng(seed), draws, n_obs)
-        edges = sorted({0, draws, *(int(c * draws) for c in cuts)})
-        for data in (values, values.sum(axis=1)):
-            parts = [_centred_sums(data[a:b], np.empty(data[a:b].shape))
-                     for a, b in zip(edges, edges[1:])]
-            merged = functools.reduce(_merge_sums, parts)
-            whole = _centred_sums(data, np.empty(data.shape))
-            assert merged.count == whole.count == draws
-            assert np.all(np.abs(merged.total - whole.total) <= 1e-12 * np.abs(data).sum(axis=0))
-            np.testing.assert_allclose(merged.sq_dev, whole.sq_dev, rtol=1e-12)
-            np.testing.assert_array_equal(whole.sq_dev / (draws - 1), data.var(axis=0, ddof=1))
-
-    @settings(derandomize=True, deadline=None, max_examples=100)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        draws=st.integers(2, 120),
-        n_obs=st.integers(1, 8),
-        block_bytes=st.integers(1, 4000),
-    )
-    def test_covariance_fold_any_block_size(self, seed, draws, n_obs, block_bytes):
-        """The blocked co-moment fold gives np.cov within 1e-13 of its largest
-        entry; a small block budget makes many blocks of 4n rows or more merge."""
-        values = _spread_draws(np.random.default_rng(seed), draws, n_obs)
-        with mock.patch.object(influence, "_BLOCK_BYTES", block_bytes):
-            cov = loglik_covariance(make(values)).matrix
-        expected = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
-        assert np.abs(cov - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_covariance_peak_memory_independent_of_draws(self):
         """No centred copy of the draws: at n=40, S=200000 (64 MB of draws)

@@ -29,7 +29,7 @@ from bayeslens.errors import (
     ZeroLeverage,
     ZeroPerturbation,
 )
-from bayeslens import leverage
+from bayeslens import moments
 from bayeslens.families import FAMILIES
 from bayeslens.leverage import _split_streams
 
@@ -329,7 +329,7 @@ class TestBlockedPairing:
     1e-12 relative (bit for bit from a single block)."""
 
     def check_against_one_shot(self, pred, symmetrize):
-        block = leverage._BLOCK_BYTES // pred.params[0].nbytes
+        block = moments.BLOCK_BYTES // pred.params[0].nbytes
         hat = hat_values(pred, seed=13, symmetrize=symmetrize)
         pair_values = one_shot_pairs(pred, 13, symmetrize)
         n_pairs = pair_values.shape[0]
@@ -360,7 +360,7 @@ class TestBlockedPairing:
     def test_small_blocks(self, random_predictive, monkeypatch, family, symmetrize, n_pairs):
         rng = np.random.default_rng(n_pairs)
         pred = random_predictive(family, rng, 2 * n_pairs, 3)
-        monkeypatch.setattr(leverage, "_BLOCK_BYTES", 4 * pred.params[0].nbytes)
+        monkeypatch.setattr(moments, "BLOCK_BYTES", 4 * pred.params[0].nbytes)
         self.check_against_one_shot(pred, symmetrize)
         # near-identical draws: round-off makes some pair KLs negative, and
         # their counts fold in across blocks like the rest
@@ -371,7 +371,7 @@ class TestBlockedPairing:
     def test_default_block_size(self, random_predictive, family, symmetrize):
         """One pair more than the default block holds."""
         n_obs, k = 3, len(FAMILIES[family].params)
-        block = leverage._BLOCK_BYTES // (n_obs * k * 8)
+        block = moments.BLOCK_BYTES // (n_obs * k * 8)
         pred = random_predictive(family, np.random.default_rng(14), 2 * (block + 1), n_obs)
         self.check_against_one_shot(pred, symmetrize)
 

@@ -1,4 +1,4 @@
-"""Outlier matrix construction, symmetric eigensystem, CLOUT statistics."""
+"""Outlier matrix construction, its kept eigenpairs, CLOUT statistics."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,11 @@ from bayeslens import (
     HatValues,
     Perturbation,
     clout_direction,
-    symmetric_eigendecomposition,
+    exact_sampler,
+    hat_values,
+    loglik_covariance,
     outlier_matrix,
+    random_spec,
     scree,
     truncated_clout,
 )
@@ -26,64 +29,65 @@ V_TOY = np.array([[1.0, 2.0], [2.0, 4.0]])
 H_TOY = np.array([1.0, 1.0])
 
 
-def random_symmetric(rng, size, scale=1.0):
-    root = rng.standard_normal((size, size)) * scale
-    return (root + root.T) / 2.0
+def random_psd(rng, size, scale=1.0):
+    """A well-conditioned symmetric positive definite matrix."""
+    root = rng.standard_normal((size, size + 2)) * scale
+    return root @ root.T
 
 
 class TestSymmetricEigendecomposition:
+    """The eigenpairs that ``outlier_matrix`` keeps, on positive
+    semi-definite inputs: with unit hat-values the outlier matrix is V
+    rescaled by n / tr(V)."""
+
     def test_matches_lapack_on_random_matrices(self):
         """Eigenvalues and reconstruction agree with numpy.linalg.eigh."""
         rng = np.random.default_rng(40)
         for _ in range(50):
             size = int(rng.integers(2, 13))
-            matrix = random_symmetric(rng, size, scale=10.0 ** rng.integers(-2, 3))
-            values, vectors = symmetric_eigendecomposition(matrix)
-            reference = np.sort(np.linalg.eigvalsh(matrix))[::-1]
-            scale = max(np.max(np.abs(reference)), 1e-30)
-            np.testing.assert_allclose(values, reference, atol=1e-10 * scale)
+            matrix = random_psd(rng, size, scale=10.0 ** rng.integers(-2, 3))
+            dec = outlier_matrix(matrix, np.ones(size))
+            values, vectors = dec.eigenvalues, dec.eigenvectors
+            reference = np.sort(np.linalg.eigvalsh(dec.omega))[::-1]
+            np.testing.assert_allclose(values, reference, atol=1e-10 * reference[0])
             rebuilt = (vectors * values) @ vectors.T
-            assert np.max(np.abs(rebuilt - matrix)) <= 1e-8 * np.max(np.abs(matrix))
+            assert np.max(np.abs(rebuilt - dec.omega)) <= 1e-8 * np.max(np.abs(dec.omega))
 
     def test_orthonormal_eigenvectors(self):
         rng = np.random.default_rng(41)
-        matrix = random_symmetric(rng, 9)
-        _, vectors = symmetric_eigendecomposition(matrix)
+        vectors = outlier_matrix(random_psd(rng, 9), np.ones(9)).eigenvectors
         np.testing.assert_allclose(vectors.T @ vectors, np.eye(9), atol=1e-10)
 
     def test_diagonal_matrix(self):
-        values, vectors = symmetric_eigendecomposition(np.diag([3.0, -1.0, 7.0]))
-        np.testing.assert_array_equal(values, [7.0, 3.0, -1.0])
-        np.testing.assert_array_equal(np.abs(vectors), np.eye(3)[:, [2, 0, 1]])
+        dec = outlier_matrix(np.diag([3.0, 1.0, 7.0]), np.ones(3))
+        np.testing.assert_array_equal(dec.eigenvalues, np.diag(dec.omega)[[2, 0, 1]])
+        np.testing.assert_array_equal(np.abs(dec.eigenvectors), np.eye(3)[:, [2, 0, 1]])
 
     def test_sign_convention(self):
         """Each eigenvector's largest-magnitude entry is positive."""
         rng = np.random.default_rng(42)
-        _, vectors = symmetric_eigendecomposition(random_symmetric(rng, 6))
+        vectors = outlier_matrix(random_psd(rng, 6), rng.uniform(0.2, 1.0, 6)).eigenvectors
         for j in range(6):
             peak = np.argmax(np.abs(vectors[:, j]))
             assert vectors[peak, j] > 0
 
-    def test_non_square_matrix(self):
-        with pytest.raises(InvalidParameter, match="square"):
-            symmetric_eigendecomposition(np.ones((2, 3)))
-
     def test_single_entry(self):
-        values, vectors = symmetric_eigendecomposition(np.array([[5.0]]))
-        np.testing.assert_array_equal(values, [5.0])
-        np.testing.assert_array_equal(vectors, [[1.0]])
-
-    def test_zero_matrix(self):
-        values, vectors = symmetric_eigendecomposition(np.zeros((4, 4)))
-        np.testing.assert_array_equal(values, np.zeros(4))
-        np.testing.assert_array_equal(vectors, np.eye(4))
+        dec = outlier_matrix(np.array([[2.0]]), np.array([4.0]))
+        np.testing.assert_array_equal(dec.eigenvalues, [1.0])
+        np.testing.assert_array_equal(dec.eigenvectors, [[1.0]])
 
     def test_deterministic_tie_order(self):
-        values, vectors = symmetric_eigendecomposition(np.eye(3) * 2.0)
-        np.testing.assert_array_equal(values, [2.0, 2.0, 2.0])
-        again_values, again_vectors = symmetric_eigendecomposition(np.eye(3) * 2.0)
-        np.testing.assert_array_equal(vectors, again_vectors)
-        np.testing.assert_array_equal(values, again_values)
+        """V = diag(h) with hat-values h that are powers of 4 makes the
+        outlier matrix exactly I: the three tied pairs are ordered by their
+        first differing entry, the same way on every call."""
+        h = np.array([0.25, 1.0, 4.0])
+        dec = outlier_matrix(np.diag(h), h)
+        np.testing.assert_array_equal(dec.omega, np.eye(3))
+        np.testing.assert_array_equal(dec.eigenvalues, [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(dec.eigenvectors, np.eye(3))
+        again = outlier_matrix(np.diag(h), h)
+        np.testing.assert_array_equal(again.eigenvectors, dec.eigenvectors)
+        np.testing.assert_array_equal(again.eigenvalues, dec.eigenvalues)
 
 
 class TestOutlierMatrix:
@@ -107,16 +111,15 @@ class TestOutlierMatrix:
         assert scree(dec)[-1][2] == 1.0
 
     def test_keeps_the_pairs_above_the_tolerance(self):
-        """Eigenpairs 1..k of a rank-k V are kept, as views of the solver's
-        output, and the round-off eigenvalues are dropped."""
+        """Eigenpairs 1..k of a rank-k V are kept, the solver's top k up to
+        sign, and the round-off eigenvalues are dropped."""
         rng = np.random.default_rng(52)
         root = rng.standard_normal((7, 3))
         dec = outlier_matrix(root @ root.T, rng.uniform(0.1, 1.0, 7))
-        values, vectors = symmetric_eigendecomposition(dec.omega)
-        assert np.all(np.abs(values[3:]) <= dec.rank_tolerance)
-        np.testing.assert_array_equal(dec.eigenvalues, values[:3])
-        np.testing.assert_array_equal(dec.eigenvectors, vectors[:, :3])
-        assert dec.eigenvectors.base is not None
+        values, vectors = np.linalg.eigh(dec.omega)
+        assert np.all(np.abs(values[:4]) <= dec.rank_tolerance)
+        np.testing.assert_array_equal(dec.eigenvalues, values[:3:-1])
+        np.testing.assert_array_equal(np.abs(dec.eigenvectors), np.abs(vectors[:, :3:-1]))
 
     def test_proportional_influence_gives_constant_clout(self):
         """V = c * diag(h) collapses the outlier matrix to a multiple of I."""
@@ -269,3 +272,11 @@ class TestScree:
         rows = scree(dec)
         assert len(rows) == 1
         assert rows[0] == (1, pytest.approx(1.0), pytest.approx(1.0))
+
+    def test_last_share_is_exactly_one(self):
+        """The shares divide by the last running sum. At n = 120, S = 1000
+        (random_spec seed 7) dividing by ``np.sum`` ended at 1 - 2**-52."""
+        spec = random_spec(np.random.default_rng(7), n_obs=120, n_params=5)
+        samples, pred = exact_sampler(spec, draws=1000, chains=4, seed=7)
+        dec = outlier_matrix(loglik_covariance(samples), hat_values(pred, seed=7))
+        assert scree(dec)[-1][2] == 1.0
