@@ -231,7 +231,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     planted = args.outlier_idx is not None
     if planted != (args.leverage_idx is not None):
-        raise DiagnosticsError("planting needs both --outlier-idx and --leverage-idx")
+        raise InvalidParameter("planting needs both --outlier-idx and --leverage-idx")
     if args.demo:
         rng = np.random.default_rng(args.seed)
         spec = oracle_mod.random_spec(rng, n_obs=40, n_params=3)

@@ -5,8 +5,9 @@ per-observation log-likelihood contributions: the per-observation local
 influence (its diagonal), the doubling influence, the WAIC-style penalties
 ``p_w`` and ``p_w_star``, the total-variance penalty ``p_v``, conformal
 (direction-normalized) influence, and the prior-data conflict ratio
-``p_v / p_w``. Point estimates pool all chains; Monte Carlo standard
-errors come from between-chain (or split-half) replication.
+``p_v / p_w``. Each statistic is written once: its point estimate applies
+one function to the moments pooled over all chains, and its Monte Carlo
+standard error applies it to each chain (or half of a single chain).
 
 Variance convention: unbiased, denominator S - 1, everywhere.
 """
@@ -27,7 +28,7 @@ from .errors import (
     ZeroTrace,
 )
 from .families import check_params, is_whole
-from .moments import block_moments, co_moments, mcse, pool, row_selector
+from .moments import Moments, block_moments, co_moments, mcse, pool, row_selector
 from .sample_store import (
     GroupMap,
     LogLikSamples,
@@ -93,11 +94,6 @@ class Perturbation:
         return cls(vec).eps
 
 
-def _require_draws(values: np.ndarray) -> None:
-    if values.shape[0] < 2:
-        raise DegenerateSample("need at least 2 draws")
-
-
 def loglik_covariance(samples: LogLikSamples) -> CovMatrix:
     """Unbiased sample covariance of the log-likelihood columns, pooled over chains.
 
@@ -105,7 +101,6 @@ def loglik_covariance(samples: LogLikSamples) -> CovMatrix:
     so the result differs from ``numpy.cov``'s by round-off (about 2e-15 of
     its largest entry).
     """
-    _require_draws(samples.values)
     comoment = co_moments(samples.values)
     comoment /= samples.n_draws - 1
     return CovMatrix(matrix=comoment, obs_ids=samples.obs_ids)
@@ -119,6 +114,14 @@ def clinf_direction(cov, eps) -> float:
         raise ZeroTrace("trace of the covariance is zero: all log-likelihoods constant")
     vec = Perturbation.vector(eps, matrix.shape[0])
     return float(vec @ matrix @ vec) / (trace * float(vec @ vec))
+
+
+def _penalties(linf: np.ndarray, row_totals: np.ndarray) -> tuple[float, float, float]:
+    """``p_w``, ``p_v`` and their ratio ``p_v / p_w`` (NaN when ``p_w`` is
+    zero) from the columns' variances and the rows' totals."""
+    p_w = float(np.sum(linf))
+    p_v = 2.0 * float(row_totals.var(ddof=1))
+    return p_w, p_v, p_v / p_w if p_w > 0.0 else math.nan
 
 
 @dataclass(frozen=True)
@@ -148,25 +151,16 @@ def cross_conflict(samples: LogLikSamples, groups: GroupMap) -> CrossConflict:
     members' individual variances.
     """
     members = group_members(samples, groups)
-    labels, pv_list, pw_list, ratio_list, bad = [], [], [], [], []
-    for label, idx in members.items():
-        block = samples.values[:, idx]
-        group_pv = 2.0 * float(block.sum(axis=1).var(ddof=1))
-        group_pw = float(block.var(axis=0, ddof=1).sum())
-        labels.append(label)
-        pv_list.append(group_pv)
-        pw_list.append(group_pw)
-        if group_pw <= 0.0:
-            bad.append(label)
-            ratio_list.append(math.nan)
-        else:
-            ratio_list.append(group_pv / group_pw)
+    # a group's own row sums, which may differ in the last bit from the report's
+    blocks = (samples.values[:, idx] for idx in members.values())
+    totals = [_penalties(block.var(axis=0, ddof=1), block.sum(axis=1)) for block in blocks]
+    p_w, p_v, ratio = (np.array(column) for column in zip(*totals))
     return CrossConflict(
-        group_labels=tuple(labels),
-        p_v=np.array(pv_list),
-        p_w=np.array(pw_list),
-        ratio=np.array(ratio_list),
-        zero_trace=tuple(bad),
+        group_labels=tuple(members),
+        p_v=p_v,
+        p_w=p_w,
+        ratio=ratio,
+        zero_trace=tuple(label for label, pw in zip(members, p_w) if pw <= 0.0),
     )
 
 
@@ -183,7 +177,8 @@ def bernoulli_pw(y, m, pi_draws) -> np.ndarray:
     pi_draws = np.asarray(pi_draws, dtype=float)
     if pi_draws.ndim != 2 or pi_draws.shape[1] != y.shape[0] or m.shape != y.shape:
         raise InvalidParameter("pi_draws must be (draws x observations) matching y and m")
-    _require_draws(pi_draws)
+    if pi_draws.shape[0] < 2:
+        raise DegenerateSample("need at least 2 draws")
     check_params("binomial", pi_draws[..., None], m)
     if not np.all((y >= 0) & (y <= m) & is_whole(y)):
         raise InvalidParameter("counts must be whole numbers with 0 <= y <= m")
@@ -221,6 +216,23 @@ class InfluenceReport:
     n_chains: int
 
 
+def _statistics(moments: Moments, row_totals: np.ndarray) -> dict:
+    """Every ``InfluenceReport`` statistic of one set of draws, from its
+    column moments and its row totals."""
+    linf = moments.linf()
+    dinf = moments.dinf()
+    p_w, p_v, ratio = _penalties(linf, row_totals)
+    return {
+        "linf": linf,
+        "dinf": dinf,
+        "clinf": linf / p_w if p_w > 0.0 else np.full(linf.shape, math.nan),
+        "p_w": p_w,
+        "p_w_star": float(np.sum(dinf)),
+        "p_v": p_v,
+        "conflict_ratio": ratio,
+    }
+
+
 def influence_report(
     samples: LogLikSamples, *, conflict_threshold: float = 3.0
 ) -> InfluenceReport:
@@ -228,12 +240,13 @@ def influence_report(
 
     The column moments of each replicate block (a chain, or half of a single
     chain) are computed once, on a view when the block's rows are contiguous.
-    The MCSEs come from the blocks' statistics and the point estimates from
-    the pooled moments. The conflict flag marks ``p_v / p_w`` at or above the
+    ``_statistics`` of the pooled moments gives the point estimates, and of
+    each block a replicate; each ``*_mcse`` is the standard error of that
+    statistic's replicates (NaN for ``clinf`` and the ratio when a replicate's
+    ``p_w`` is zero). The conflict flag marks ``p_v / p_w`` at or above the
     threshold; it is a pointer for further investigation, never a hard failure.
     """
     values = samples.values
-    _require_draws(values)
     groups_idx = replicate_groups(samples.draw_chain)
     replicated = all(len(g) >= 2 for g in groups_idx)
     if not replicated:
@@ -241,65 +254,29 @@ def influence_report(
     rows = [row_selector(idx) for idx in groups_idx]
     scratch = np.empty((max(len(idx) for idx in groups_idx), values.shape[1]))
     blocks = [block_moments(values[r], scratch) for r in rows]
-    pooled = pool(blocks)
-    linf_vec = pooled.linf()
-    dinf_vec = pooled.dinf()
-    total_pw = float(np.sum(linf_vec))
-    if total_pw <= 0.0:
-        raise ZeroTrace("p_w is zero: all log-likelihood contributions constant")
-    total_pw_star = float(np.sum(dinf_vec))
     row_totals = values.sum(axis=1)
-    total_pv = 2.0 * float(row_totals.var(ddof=1))
-    ratio = total_pv / total_pw
-    clinf_vec = linf_vec / total_pw
+    estimates = _statistics(pool(blocks), row_totals)
+    if estimates["p_w"] <= 0.0:
+        raise ZeroTrace("p_w is zero: all log-likelihood contributions constant")
 
-    n_chains = len(chain_order(samples.draw_chain))
     if replicated:
-        rep_linf = [block.linf() for block in blocks]
-        rep_dinf = [block.dinf() for block in blocks]
-        rep_pw = [float(np.sum(v)) for v in rep_linf]
-        rep_pws = [float(np.sum(v)) for v in rep_dinf]
-        rep_pv = [2.0 * float(row_totals[r].var(ddof=1)) for r in rows]
-        have_ratio = all(pw > 0.0 for pw in rep_pw)
-        linf_mcse = mcse(rep_linf)
-        dinf_mcse = mcse(rep_dinf)
-        pw_mcse = float(mcse(rep_pw))
-        pws_mcse = float(mcse(rep_pws))
-        pv_mcse = float(mcse(rep_pv))
-        if have_ratio:
-            clinf_mcse = mcse([v / pw for v, pw in zip(rep_linf, rep_pw)])
-            ratio_mcse = float(mcse([pv / pw for pv, pw in zip(rep_pv, rep_pw)]))
-        else:
-            clinf_mcse = np.full(len(linf_vec), np.nan)
-            ratio_mcse = math.nan
+        replicates = [_statistics(block, row_totals[r]) for block, r in zip(blocks, rows)]
+        errors = {key: mcse([rep[key] for rep in replicates]) for key in estimates}
     else:
         warnings.warn(
             "too few draws per replicate for Monte Carlo standard errors",
             TooFewDrawsForMcse,
             stacklevel=2,
         )
-        nan_vec = np.full(len(linf_vec), np.nan)
-        linf_mcse = dinf_mcse = clinf_mcse = nan_vec
-        pw_mcse = pws_mcse = pv_mcse = ratio_mcse = math.nan
+        # NaN in each statistic's shape
+        errors = {key: value * math.nan for key, value in estimates.items()}
 
     return InfluenceReport(
         obs_ids=samples.obs_ids,
-        linf=linf_vec,
-        dinf=dinf_vec,
-        clinf=clinf_vec,
-        linf_mcse=linf_mcse,
-        dinf_mcse=dinf_mcse,
-        clinf_mcse=clinf_mcse,
-        p_w=total_pw,
-        p_w_star=total_pw_star,
-        p_v=total_pv,
-        conflict_ratio=ratio,
-        p_w_mcse=pw_mcse,
-        p_w_star_mcse=pws_mcse,
-        p_v_mcse=pv_mcse,
-        conflict_ratio_mcse=ratio_mcse,
+        **estimates,
+        **{f"{key}_mcse": value for key, value in errors.items()},
         conflict_threshold=conflict_threshold,
-        flagged=ratio >= conflict_threshold,
+        flagged=estimates["conflict_ratio"] >= conflict_threshold,
         n_draws=samples.n_draws,
-        n_chains=n_chains,
+        n_chains=len(chain_order(samples.draw_chain)),
     )

@@ -111,10 +111,13 @@ class LinearDiagnostics:
 
 
 def _cholesky_solver(matrix: np.ndarray):
-    """``rhs -> matrix^{-1} rhs`` through a Cholesky factor; None unless positive definite."""
+    """``rhs -> matrix^{-1} rhs`` through a Cholesky factor; None unless positive
+    definite with a finite factor (an overflowed entry factors to inf)."""
     try:
         lower = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(lower).all():
         return None
     return lambda rhs: np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 

@@ -3,8 +3,10 @@
 ``linf``, ``dinf``, ``p_w``, ``p_v``, the covariance V and the hat-values
 are statistics of column moments of the draws. Each kernel takes the
 moments of one block of rows, and the moments of disjoint blocks merge by
-Chan, Golub & LeVeque (1979), so the scratch is a block whatever the number
-of draws. Variance convention: unbiased, denominator S - 1.
+Chan, Golub & LeVeque (1979). The covariance and the hat-value pairs fold
+blocks of ``BLOCK_BYTES``, so their scratch is a block whatever the number
+of draws; the influence report's block is a whole chain, so its scratch is
+the largest chain. Variance convention: unbiased, denominator S - 1.
 """
 
 from __future__ import annotations
@@ -151,6 +153,8 @@ def row_selector(idx: np.ndarray) -> slice | np.ndarray:
 
 
 def mcse(replicates: list) -> np.ndarray | float:
-    """Standard error of the mean of the replicate statistics."""
+    """Standard error of the mean of the replicate statistics: an array for
+    array statistics, a float for scalar ones."""
     stacked = np.stack([np.asarray(r, dtype=float) for r in replicates])
-    return stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
+    error = stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
+    return error if error.ndim else float(error)

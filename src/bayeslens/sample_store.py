@@ -274,11 +274,6 @@ class GroupMap:
             self, "assignment", {str(k): str(v) for k, v in self.assignment.items()}
         )
 
-    @property
-    def labels(self) -> list[str]:
-        """Group labels in first-appearance order of the assignment."""
-        return list(dict.fromkeys(self.assignment.values()))
-
     @classmethod
     def identity(cls, obs_ids) -> "GroupMap":
         return cls({str(i): str(i) for i in obs_ids})
@@ -532,12 +527,12 @@ def _resolve_family(meta: dict, family: str | None) -> str:
         raise FamilyMismatch("no predictive family given and none in metadata")
     if isinstance(tag, str):
         return tag
-    if isinstance(tag, dict):
+    if isinstance(tag, dict) and all(isinstance(value, str) for value in tag.values()):
         distinct = sorted(set(tag.values()))
         if len(distinct) != 1:
             raise FamilyMismatch(f"mixed per-observation families: {distinct}")
         return distinct[0]
-    raise FamilyMismatch("metadata 'families' must be a string or an object")
+    raise FamilyMismatch("metadata 'families' must be a string or an object of strings")
 
 
 # The names of the per-observation constants, which the metadata JSON holds

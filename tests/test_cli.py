@@ -300,6 +300,13 @@ class TestUsageErrors:
         assert_one_error_line(capsys, "InvalidParameter")
         assert not out.exists()
 
+    def test_half_planted_simulate(self, tmp_path, capsys):
+        """``--outlier-idx`` without ``--leverage-idx`` is a usage error."""
+        out = tmp_path / "out"
+        assert main(["simulate", "--demo", "--outlier-idx", "3", "--out", str(out)]) == 1
+        assert_one_error_line(capsys, "InvalidParameter")
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["influence", "--help"])
@@ -348,6 +355,23 @@ class TestBadInputsFailClosed:
         code = main(["leverage", "--pred", str(pred), "--meta", str(meta), "--out", str(out)])
         assert code == 1
         assert_one_error_line(capsys, "InvalidParameter")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1", '["normal_known_var"]'], ids=["number", "list"])
+    def test_non_string_family(self, tmp_path, capsys, value):
+        """A per-observation family that is not a string exits 1 with one
+        FamilyMismatch line and writes nothing."""
+        pred = tmp_path / "pred.csv"
+        pred.write_text("a.mean,b.mean\n0,1\n0.5,1.5\n0,1\n1,0\n")
+        meta = tmp_path / "meta.json"
+        meta.write_text(
+            '{"chains": [0, 0, 1, 1], "families": {"a": "normal_known_var", "b": %s}, '
+            '"var": {"a": 1, "b": 1}}' % value
+        )
+        out = tmp_path / "out"
+        code = main(["leverage", "--pred", str(pred), "--meta", str(meta), "--out", str(out)])
+        assert code == 1
+        assert_one_error_line(capsys, "FamilyMismatch")
         assert not out.exists()
 
     @pytest.mark.parametrize("wobble", [2e-9, 1e-3, -2e-9])
@@ -774,6 +798,17 @@ class TestOracleCommand:
         assert payload["theta_hat"] is None
         assert "sandwich_check" not in payload
         assert len(payload["theta_bar"]) == 3
+
+    def test_overflowing_spec_exit_one(self, tmp_path, capsys):
+        """A design whose X'X overflows exits 1 with one SingularSystem line,
+        as ``simulate --spec`` does on the same file, and writes nothing."""
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"X": [[1e200, 0], [0, 1], [1, 1]], "y": [1, 2, 3], '
+                        '"sigma2": 1, "Psi": [[0, 0], [0, 0]]}')
+        out = tmp_path / "out"
+        assert main(["oracle", "--spec", str(spec), "--out", str(out)]) == 1
+        assert_one_error_line(capsys, "SingularSystem")
+        assert not out.exists()
 
     def test_fits_once(self, tmp_path, monkeypatch):
         """The sandwich check reuses the diagnostics ``oracle`` already fitted."""

@@ -436,16 +436,30 @@ CHAIN_LAYOUTS = {
     "unequal_contiguous": np.repeat([2, 0, 1], [150, 600, 250]),
     "interleaved": np.tile([0, 1], 500),
     "single_chain_halves": np.zeros(1000, dtype=int),
+    # chain 1 is made constant in every column below
+    "one_flat_chain": np.repeat(np.arange(4), 250),
 }
 
 
 class TestBlockMoments:
-    @pytest.mark.parametrize("chains", CHAIN_LAYOUTS.values(), ids=CHAIN_LAYOUTS.keys())
-    def test_matches_per_chain_reference(self, chains):
+    @pytest.mark.parametrize("layout", CHAIN_LAYOUTS)
+    def test_matches_per_chain_reference(self, layout):
         """MCSEs and p_v are bit-identical to the gather loop; the pooled
-        point estimates agree with the one-pass full-array estimators."""
-        samples = make(_spread_draws(np.random.default_rng(31), 1000, 6), chains=chains)
-        report = influence_report(samples)
+        point estimates agree with the one-pass full-array estimators. A
+        replicate with p_w = 0 makes the clinf and ratio MCSEs NaN, quietly."""
+        chains = CHAIN_LAYOUTS[layout]
+        values = _spread_draws(np.random.default_rng(31), 1000, 6)
+        if layout == "one_flat_chain":
+            # whole numbers, so that each column's mean, and its variance 0, are exact
+            values[chains == 1] = np.floor(values[chains == 1][0])
+        samples = make(values, chains=chains)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = influence_report(samples)
+        if layout == "one_flat_chain":
+            assert report.p_w > 0.0
+            assert np.all(np.isnan(report.clinf_mcse))
+            assert math.isnan(report.conflict_ratio_mcse)
         for field, expected in _reference_report(samples).items():
             np.testing.assert_array_equal(getattr(report, field), expected, err_msg=field)
         full_linf, full_dinf = one_pass(samples)

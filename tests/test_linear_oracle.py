@@ -150,6 +150,18 @@ class TestFit:
         with pytest.raises(SingularSystem):
             fit(spec)
 
+    def test_overflowing_precision(self):
+        """X'X overflows to inf, which Cholesky factors without complaint; the
+        infinite factor is refused, not used to fit a hat-value of 0."""
+        spec = LinearModelSpec(
+            design=np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+            outcomes=np.array([1.0, 2.0, 3.0]),
+            noise_variance=1.0,
+            prior_precision=np.zeros((2, 2)),
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystem):
+            fit(spec)
+
     def test_singular_gram_with_informative_prior(self):
         """p > n makes X'X singular; the prior keeps the posterior proper.
 

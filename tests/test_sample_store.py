@@ -758,6 +758,20 @@ class TestPredictiveDraws:
         with pytest.raises(FamilyMismatch, match="mixed"):
             load_predictive(pred_file, meta)
 
+    @pytest.mark.parametrize("value", [1, ["poisson"]], ids=["number", "list"])
+    def test_non_string_family_rejected(self, tmp_path, value):
+        """A per-observation family that is not a string is a FamilyMismatch,
+        not a TypeError from sorting or hashing it."""
+        pred_file, meta = write_corpus(
+            tmp_path,
+            "a.rate,b.rate\n1.0,2.0\n1.5,2.5\n",
+            [0, 1],
+            name="pred.csv",
+            families={"a": "poisson", "b": value},
+        )
+        with pytest.raises(FamilyMismatch, match="strings"):
+            load_predictive(pred_file, meta)
+
     def test_no_family_anywhere(self, tmp_path):
         pred_file, meta = write_corpus(
             tmp_path, "a.rate\n1.0\n1.5\n", [0, 1], name="pred.csv"
