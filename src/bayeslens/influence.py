@@ -28,7 +28,7 @@ from .errors import (
     ZeroTrace,
 )
 from .families import check_params, is_whole
-from .moments import Moments, block_moments, co_moments, mcse, pool, row_selector
+from .moments import Moments, block_moments, co_moments, mcse, pool, row_selector, weighted_sums
 from .sample_store import (
     GroupMap,
     LogLikSamples,
@@ -116,14 +116,6 @@ def clinf_direction(cov, eps) -> float:
     return float(vec @ matrix @ vec) / (trace * float(vec @ vec))
 
 
-def _penalties(linf: np.ndarray, row_totals: np.ndarray) -> tuple[float, float, float]:
-    """``p_w``, ``p_v`` and their ratio ``p_v / p_w`` (NaN when ``p_w`` is
-    zero) from the columns' variances and the rows' totals."""
-    p_w = float(np.sum(linf))
-    p_v = 2.0 * float(row_totals.var(ddof=1))
-    return p_w, p_v, p_v / p_w if p_w > 0.0 else math.nan
-
-
 @dataclass(frozen=True)
 class CrossConflict:
     """Per-group conflict ratios; groups with constant log-likelihoods get NaN."""
@@ -148,18 +140,31 @@ def cross_conflict(samples: LogLikSamples, groups: GroupMap) -> CrossConflict:
 
     For group g: p_v[g] is twice the variance of the summed log-likelihood of
     its members under a single common perturbation, while p_w[g] sums the
-    members' individual variances.
+    members' individual variances. A one-member group's sum is its member,
+    so its p_v is 2 * p_w by definition, and exactly.
+
+    One pass over blocks of draws (``moments.weighted_sums``) gives the
+    column variances and, through a 0/1 indicator with one column per group
+    of two or more members, the group totals' variances. The product costs
+    S * n * G for G such groups, so many small groups cost more than a few
+    large ones.
     """
     members = group_members(samples, groups)
-    # a group's own row sums, which may differ in the last bit from the report's
-    blocks = (samples.values[:, idx] for idx in members.values())
-    totals = [_penalties(block.var(axis=0, ddof=1), block.sum(axis=1)) for block in blocks]
-    p_w, p_v, ratio = (np.array(column) for column in zip(*totals))
+    column_group = np.empty(samples.n_obs, dtype=int)
+    for g, idx in enumerate(members.values()):
+        column_group[idx] = g
+    multi = np.flatnonzero(np.bincount(column_group) > 1)
+    indicator = (column_group[:, None] == multi).astype(float)
+    columns, totals = weighted_sums(samples.values, indicator)
+    denominator = samples.n_draws - 1
+    p_w = np.bincount(column_group, weights=columns.sq_dev / denominator)
+    p_v = 2.0 * p_w
+    p_v[multi] = 2.0 * (totals.sq_dev / denominator)
     return CrossConflict(
         group_labels=tuple(members),
         p_v=p_v,
         p_w=p_w,
-        ratio=ratio,
+        ratio=np.divide(p_v, p_w, out=np.full(p_w.shape, math.nan), where=p_w > 0.0),
         zero_trace=tuple(label for label, pw in zip(members, p_w) if pw <= 0.0),
     )
 
@@ -221,7 +226,8 @@ def _statistics(moments: Moments, row_totals: np.ndarray) -> dict:
     column moments and its row totals."""
     linf = moments.linf()
     dinf = moments.dinf()
-    p_w, p_v, ratio = _penalties(linf, row_totals)
+    p_w = float(np.sum(linf))
+    p_v = 2.0 * float(row_totals.var(ddof=1))
     return {
         "linf": linf,
         "dinf": dinf,
@@ -229,7 +235,7 @@ def _statistics(moments: Moments, row_totals: np.ndarray) -> dict:
         "p_w": p_w,
         "p_w_star": float(np.sum(dinf)),
         "p_v": p_v,
-        "conflict_ratio": ratio,
+        "conflict_ratio": p_v / p_w if p_w > 0.0 else math.nan,
     }
 
 

@@ -1,12 +1,13 @@
 """Folds over blocks of posterior draws, behind every diagnostic.
 
-``linf``, ``dinf``, ``p_w``, ``p_v``, the covariance V and the hat-values
-are statistics of column moments of the draws. Each kernel takes the
-moments of one block of rows, and the moments of disjoint blocks merge by
-Chan, Golub & LeVeque (1979). The covariance and the hat-value pairs fold
-blocks of ``BLOCK_BYTES``, so their scratch is a block whatever the number
-of draws; the influence report's block is a whole chain, so its scratch is
-the largest chain. Variance convention: unbiased, denominator S - 1.
+``linf``, ``dinf``, ``p_w``, ``p_v``, the group penalties of cross-conflict,
+the covariance V and the hat-values are statistics of column moments of the
+draws. Each kernel takes the moments of one block of rows, and the moments
+of disjoint blocks merge by Chan, Golub & LeVeque (1979). The covariance,
+the cross-conflict sums and the hat-value pairs fold blocks of
+``BLOCK_BYTES``, so their scratch is a block whatever the number of draws;
+the influence report's block is a whole chain, so its scratch is the
+largest chain. Variance convention: unbiased, denominator S - 1.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Draws per block of the covariance fold and of the hat-value pairs: about
-# 1 MB. Read at call time, so that one assignment changes both.
+# Draws per block of the covariance fold, of the cross-conflict sums and of
+# the hat-value pairs: about 1 MB. Read at call time, so that one assignment
+# changes all three.
 BLOCK_BYTES = 1 << 20
 
 
@@ -87,6 +89,37 @@ def merge_sums(a, b) -> Sums:
         a.total + b.total,
         a.sq_dev + b.sq_dev + delta * delta * (a.count * b.count / count),
     )
+
+
+def weighted_sums(values: np.ndarray, weights: np.ndarray) -> tuple[Sums, Sums]:
+    """The ``Sums`` of the columns of ``values`` and of the columns of
+    ``values @ weights``, in one pass over blocks of rows.
+
+    Each block is centred on its own column means and multiplied by
+    ``weights``; its totals and sums of squares are BLAS products with a
+    vector of ones, and the blocks merge by ``merge_sums``. The scratch is
+    one block of ``values`` and one of the product, whatever the number of
+    rows. The sums agree with ``centred_sums`` to round-off, not bit for bit.
+    """
+    n_rows = values.shape[0]
+    rows = min(n_rows, max(1, BLOCK_BYTES // values[0].nbytes))
+    ones = np.ones(rows)
+    work = np.empty((rows, values.shape[1]))
+    product = np.empty((rows, weights.shape[1]))
+    merged = None
+    for start in range(0, n_rows, rows):
+        block = values[start:start + rows]
+        size = block.shape[0]
+        one = ones[:size]
+        total = one @ block
+        centred = np.subtract(block, total / size, out=work[:size])
+        projected = np.matmul(centred, weights, out=product[:size])
+        sums = (
+            Sums(size, total, one @ np.square(centred, out=centred)),
+            Sums(size, total @ weights, one @ np.square(projected, out=projected)),
+        )
+        merged = sums if merged is None else tuple(map(merge_sums, merged, sums))
+    return merged
 
 
 class Moments(NamedTuple):

@@ -46,12 +46,19 @@ def _number_array(values, kind: type, error: type[DiagnosticsError], message: st
     unless each is a non-boolean number of that kind, where an int is also a float."""
     # Types are checked before the cast, which would truncate 0.5 to an int,
     # read True and "1.5" as numbers, and overflow beyond int64.
-    kinds, scalar = {int: ("iu", numbers.Integral), float: ("iuf", numbers.Real)}[kind]
+    # The exact built-in types go first: the ABC test is slow per item.
+    kinds, exact, scalar = {
+        int: ("iu", (int,), numbers.Integral),
+        float: ("iuf", (int, float), numbers.Real),
+    }[kind]
     if isinstance(values, np.ndarray):
         typed = values.dtype.kind in kinds
     else:
         items = values if np.iterable(values) else [values]
-        typed = all(isinstance(v, scalar) and not isinstance(v, bool) for v in items)
+        typed = all(
+            type(v) in exact or (isinstance(v, scalar) and not isinstance(v, bool))
+            for v in items
+        )
     if typed:
         try:
             return np.array(values, dtype=int) if kind is int else _frozen_float_array(values)

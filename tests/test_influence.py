@@ -257,14 +257,30 @@ class TestCrossConflict:
         np.testing.assert_allclose(result.ratio, [2.0, 2.0], rtol=1e-12)
 
     def test_zero_trace_group_reported_not_raised(self):
+        """A flat group gets ratio NaN without a warning of any kind."""
         values = [[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]]
         samples = make(values, ids=("a", "b"))
-        result = cross_conflict(samples, GroupMap({"a": "live", "b": "flat"}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = cross_conflict(samples, GroupMap({"a": "live", "b": "flat"}))
         assert result.zero_trace == ("flat",)
         flat = result.group_labels.index("flat")
         live = result.group_labels.index("live")
         assert math.isnan(result.ratio[flat])
         assert result.ratio[live] == pytest.approx(2.0)
+
+    def test_one_group_peak_memory_independent_of_draws(self):
+        """No gathered copy of a group's columns: at n=40, S=200000 (64 MB of
+        draws) the transient peak of a one-group map stays below 4 MB."""
+        samples = make(np.random.default_rng(36).standard_normal((200_000, 40)))
+        groups = GroupMap.single_group(samples.obs_ids)
+        tracemalloc.start()
+        try:
+            cross_conflict(samples, groups)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 class TestBinomialPw:

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayeslens import moments
+from bayeslens import GroupMap, LogLikSamples, cross_conflict, moments
 from bayeslens.moments import block_moments, centred_sums, co_moments, merge_sums, pool
 
 PACKAGE = pathlib.Path(moments.__file__).resolve().parent
@@ -80,6 +80,31 @@ def test_covariance_fold_any_block_size(seed, draws, n_obs, block_bytes):
         cov = co_moments(values) / (draws - 1)
     expected = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
     assert np.abs(cov - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    draws=st.integers(2, 120),
+    labels=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+    block_bytes=st.integers(1, 4000),
+)
+def test_cross_conflict_fold_any_block_size(seed, draws, labels, block_bytes):
+    """The one-pass group sums give each group's summed member variances and
+    twice its total's variance within 1e-12 of the largest reference value,
+    for any group map (non-contiguous members, singletons, one group) and a
+    block budget small enough that many blocks merge."""
+    values = _spread_draws(np.random.default_rng(seed), draws, len(labels))
+    ids = [f"o{i}" for i in range(len(labels))]
+    samples = LogLikSamples(values=values, draw_chain=[0] * draws, obs_ids=ids)
+    with mock.patch.object(moments, "BLOCK_BYTES", block_bytes):
+        result = cross_conflict(samples, GroupMap(dict(zip(ids, map(str, labels)))))
+    members = [[i for i, g in enumerate(labels) if str(g) == label]
+               for label in result.group_labels]
+    p_w = [values[:, idx].var(axis=0, ddof=1).sum() for idx in members]
+    p_v = [2.0 * values[:, idx].sum(axis=1).var(ddof=1) for idx in members]
+    for got, expected in ((result.p_w, p_w), (result.p_v, p_v)):
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_no_module_imports_a_private_name():
