@@ -239,11 +239,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         spec = oracle_mod.load_spec_json(args.spec)
     if planted:
         spec = oracle_mod.plant_anomalies(
-            spec,
-            outlier_idx=args.outlier_idx,
-            outlier_scale=args.outlier_scale,
-            leverage_idx=args.leverage_idx,
-            leverage_shift=args.leverage_shift,
+            spec, outlier_idx=args.outlier_idx, leverage_idx=args.leverage_idx
         )
     samples, pred = oracle_mod.exact_sampler(
         spec, draws=args.draws, chains=args.chains, seed=args.seed
@@ -356,9 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--draws", type=int, default=4000)
     p_sim.add_argument("--chains", type=int, default=4)
     p_sim.add_argument("--outlier-idx", type=int, help="plant a response outlier here")
-    p_sim.add_argument("--outlier-scale", type=float, default=8.0)
     p_sim.add_argument("--leverage-idx", type=int, help="plant a leverage point here")
-    p_sim.add_argument("--leverage-shift", type=float, default=5.0)
     p_sim.set_defaults(handler=cmd_simulate)
     add_common(p_sim, seeded=True)
 

@@ -28,7 +28,7 @@ from .errors import (
     ZeroTrace,
 )
 from .families import check_params, is_whole
-from .moments import Moments, block_moments, co_moments, mcse, pool, row_selector, weighted_sums
+from .moments import Moments, co_moments, mcse, pool, row_moments, weighted_sums
 from .sample_store import (
     GroupMap,
     LogLikSamples,
@@ -244,10 +244,11 @@ def influence_report(
 ) -> InfluenceReport:
     """Compute every influence diagnostic with replicate-based standard errors.
 
-    The column moments of each replicate block (a chain, or half of a single
-    chain) are computed once, on a view when the block's rows are contiguous.
-    ``_statistics`` of the pooled moments gives the point estimates, and of
-    each block a replicate; each ``*_mcse`` is the standard error of that
+    The column moments of each replicate (a chain, or half of a single chain)
+    are folded once by ``row_moments``, in blocks of ``BLOCK_BYTES``, so the
+    scratch is one block whatever the length of a chain. ``_statistics`` of
+    the pooled moments gives the point estimates, and of each replicate's
+    moments a replicate; each ``*_mcse`` is the standard error of that
     statistic's replicates (NaN for ``clinf`` and the ratio when a replicate's
     ``p_w`` is zero). The conflict flag marks ``p_v / p_w`` at or above the
     threshold; it is a pointer for further investigation, never a hard failure.
@@ -257,16 +258,14 @@ def influence_report(
     replicated = all(len(g) >= 2 for g in groups_idx)
     if not replicated:
         groups_idx = [np.arange(values.shape[0])]
-    rows = [row_selector(idx) for idx in groups_idx]
-    scratch = np.empty((max(len(idx) for idx in groups_idx), values.shape[1]))
-    blocks = [block_moments(values[r], scratch) for r in rows]
+    parts = [row_moments(values, idx) for idx in groups_idx]
     row_totals = values.sum(axis=1)
-    estimates = _statistics(pool(blocks), row_totals)
+    estimates = _statistics(pool(parts), row_totals)
     if estimates["p_w"] <= 0.0:
         raise ZeroTrace("p_w is zero: all log-likelihood contributions constant")
 
     if replicated:
-        replicates = [_statistics(block, row_totals[r]) for block, r in zip(blocks, rows)]
+        replicates = [_statistics(part, row_totals[idx]) for part, idx in zip(parts, groups_idx)]
         errors = {key: mcse([rep[key] for rep in replicates]) for key in estimates}
     else:
         warnings.warn(

@@ -256,18 +256,19 @@ def exact_sampler(
     return samples, pred
 
 
+# The sizes of the anomalies that plant_anomalies plants.
+OUTLIER_SCALE = 8.0
+LEVERAGE_SHIFT = 5.0
+
+
 def plant_anomalies(
-    spec: LinearModelSpec,
-    outlier_idx: int,
-    outlier_scale: float,
-    leverage_idx: int,
-    leverage_shift: float,
+    spec: LinearModelSpec, outlier_idx: int, leverage_idx: int
 ) -> LinearModelSpec:
     """Plant one response outlier and one on-line leverage point.
 
-    The outlier response moves ``outlier_scale`` noise-sds off its fitted
+    The outlier response moves ``OUTLIER_SCALE`` (8) noise-sds off its fitted
     value under the unmodified fit. The leverage predictor row shifts
-    ``leverage_shift`` column-sds along the first nonconstant design column;
+    ``LEVERAGE_SHIFT`` (5) column-sds along the first nonconstant design column;
     its response is set consistent with the leave-one-out fit of the
     modified data, so the planted point sits exactly on the refitted line
     (zero final residual).
@@ -278,16 +279,12 @@ def plant_anomalies(
             raise IndexOutOfRange(f"{name}={idx} outside [0, {n_obs - 1}]")
     if outlier_idx == leverage_idx:
         raise IndexOutOfRange("outlier and leverage indices must differ")
-    if not outlier_scale > 1.0:
-        raise InvalidParameter("outlier scale must exceed 1")
-    if leverage_shift == 0.0:
-        raise InvalidParameter("leverage shift must be nonzero")
 
     design = spec.design.copy()
     outcomes = spec.outcomes.copy()
     base = fit(spec)
     fitted = spec.outcomes - base.residuals
-    outcomes[outlier_idx] = fitted[outlier_idx] + outlier_scale * np.sqrt(
+    outcomes[outlier_idx] = fitted[outlier_idx] + OUTLIER_SCALE * np.sqrt(
         spec.noise_variance
     )
 
@@ -296,7 +293,7 @@ def plant_anomalies(
     if nonconstant.size == 0:
         raise InvalidParameter("design has no nonconstant column to shift")
     column = int(nonconstant[0])
-    design[leverage_idx, column] += leverage_shift * spreads[column]
+    design[leverage_idx, column] += LEVERAGE_SHIFT * spreads[column]
 
     keep = np.ones(n_obs, dtype=bool)
     keep[leverage_idx] = False

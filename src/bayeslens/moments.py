@@ -4,10 +4,9 @@
 the covariance V and the hat-values are statistics of column moments of the
 draws. Each kernel takes the moments of one block of rows, and the moments
 of disjoint blocks merge by Chan, Golub & LeVeque (1979). The covariance,
-the cross-conflict sums and the hat-value pairs fold blocks of
-``BLOCK_BYTES``, so their scratch is a block whatever the number of draws;
-the influence report's block is a whole chain, so its scratch is the
-largest chain. Variance convention: unbiased, denominator S - 1.
+the influence moments, the cross-conflict sums and the hat-value pairs fold
+blocks of ``BLOCK_BYTES``, so their scratch is a block whatever the number
+of draws. Variance convention: unbiased, denominator S - 1.
 """
 
 from __future__ import annotations
@@ -17,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Draws per block of the covariance fold, of the cross-conflict sums and of
-# the hat-value pairs: about 1 MB. Read at call time, so that one assignment
-# changes all three.
+# Draws per block of every fold (the covariance, the influence moments, the
+# cross-conflict sums and the hat-value pairs): about 1 MB. Read at call
+# time, so that one assignment changes all four.
 BLOCK_BYTES = 1 << 20
 
 
@@ -146,15 +145,15 @@ class Moments(NamedTuple):
         return out
 
 
-def block_moments(block: np.ndarray, scratch: np.ndarray) -> Moments:
-    """The moments of ``block``; ``scratch`` (at least as many rows as
-    ``block``) is the only temporary.
+def block_moments(block: np.ndarray) -> Moments:
+    """The moments of ``block``; one work array of ``block``'s shape is the
+    only temporary.
 
     The steps repeat ``numpy.var``'s and the max-shifted log-mean-exp's, so
     ``linf()`` and ``dinf()`` of one block equal ``block.var(axis=0, ddof=1)``
     and its Jensen gap bit for bit.
     """
-    work = scratch[:block.shape[0]]
+    work = np.empty(block.shape)
     sums = centred_sums(block, work)
     high = block.max(axis=0)
     np.subtract(block, high, out=work)
@@ -177,12 +176,24 @@ def pool(blocks: list[Moments]) -> Moments:
     )
 
 
-def row_selector(idx: np.ndarray) -> slice | np.ndarray:
-    """A slice, so that indexing gives a view, when the ascending row
-    indices ``idx`` are contiguous; otherwise ``idx`` itself (a gather)."""
-    if idx[-1] - idx[0] + 1 == idx.size:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
+def row_moments(values: np.ndarray, rows: np.ndarray) -> Moments:
+    """The moments of the rows ``rows`` of ``values``, pooled from pieces of
+    at most ``BLOCK_BYTES``.
+
+    ``rows`` must ascend without repeats, as ``replicate_groups`` gives them:
+    then a piece is consecutive exactly when its last row less its first is
+    its length less one, and it is taken as a view; any other piece is
+    gathered, one block at most. Rows that fit in one block give
+    ``block_moments(values[rows])`` bit for bit.
+    """
+    size = max(1, BLOCK_BYTES // values[0].nbytes)
+    blocks = []
+    for start in range(0, rows.size, size):
+        piece = rows[start:start + size]
+        first, last = piece[0], piece[-1]
+        block = values[first:last + 1] if last - first + 1 == piece.size else values[piece]
+        blocks.append(block_moments(block))
+    return pool(blocks)
 
 
 def mcse(replicates: list) -> np.ndarray | float:

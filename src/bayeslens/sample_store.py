@@ -526,19 +526,17 @@ def load_samples(loglik_file: str | os.PathLike, metadata_file: str | os.PathLik
     return LogLikSamples(values=values, draw_chain=meta["chains"], obs_ids=tuple(obs_ids))
 
 
-def _resolve_family(meta: dict, family: str | None) -> str:
-    if family is not None:
-        return family
+def _resolve_family(meta: dict) -> str:
     tag = meta.get("families")
-    if tag is None:
-        raise FamilyMismatch("no predictive family given and none in metadata")
-    if isinstance(tag, str):
-        return tag
     if isinstance(tag, dict) and all(isinstance(value, str) for value in tag.values()):
         distinct = sorted(set(tag.values()))
-        if len(distinct) != 1:
+        if len(distinct) > 1:
             raise FamilyMismatch(f"mixed per-observation families: {distinct}")
-        return distinct[0]
+        tag = distinct[0] if distinct else None
+    if tag is None:
+        raise FamilyMismatch("metadata names no predictive family")
+    if isinstance(tag, str):
+        return tag
     raise FamilyMismatch("metadata 'families' must be a string or an object of strings")
 
 
@@ -550,20 +548,20 @@ _CONSTANTS = ", ".join(sorted({spec.fixed for spec in FAMILIES.values() if spec.
 def load_predictive(
     pred_file: str | os.PathLike,
     metadata_file: str | os.PathLike,
-    family: str | None = None,
 ) -> PredictiveDraws:
     """Load predictive-parameter draws from a ``<obs_id>.<param>`` CSV.
 
     The columns are the family's per-draw parameters, ``FAMILIES[family].params``.
-    The family comes from the ``family`` argument or from the metadata
-    ``families`` entry. A family's per-observation constant comes from the
-    metadata object named after it, one JSON number per observation: the
-    binomial ``trials`` and the ``normal_known_var`` ``var``. The parsed table
-    may be saved beside the CSV as a ``.npy`` sidecar, as in ``load_samples``.
+    The family comes from the metadata ``families`` entry: one name, or an
+    object that gives every observation the same name. A family's
+    per-observation constant comes from the metadata object named after it,
+    one JSON number per observation: the binomial ``trials`` and the
+    ``normal_known_var`` ``var``. The parsed table may be saved beside the CSV
+    as a ``.npy`` sidecar, as in ``load_samples``.
     """
     header, table = _read_csv_table(pred_file)
     meta = _read_metadata(metadata_file, table.shape[0])
-    family = _resolve_family(meta, family)
+    family = _resolve_family(meta)
     spec = lookup(family, FamilyMismatch)
 
     # observation -> {param: column index}, observations in first-appearance order

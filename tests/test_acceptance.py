@@ -383,7 +383,7 @@ def test_criterion_7_planted_anomaly_detection():
                 prior_precision=np.zeros((3, 3)),
             )
             outlier_idx, leverage_idx = (int(i) for i in rng.choice(n, 2, replace=False))
-            planted = plant_anomalies(spec, outlier_idx, 8.0, leverage_idx, 5.0)
+            planted = plant_anomalies(spec, outlier_idx, leverage_idx)
             truth = fit(planted)
             decomposition = outlier_matrix(
                 truth.loglik_covariance(), truth.hat_diag

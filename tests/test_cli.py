@@ -908,25 +908,38 @@ class TestDeterminism:
         assert compared == 11
 
     def test_bytes_independent_of_blas_thread_count(self, tmp_path):
-        """The demo pipeline writes the same outlier artifacts under 1 and 2
-        OpenBLAS threads (the eigensolver is the BLAS-heavy step)."""
+        """Every command that calls BLAS writes the same artifacts under 1 and
+        2 OpenBLAS threads: the eigensolver of ``outliers``, the group sums of
+        ``conflict`` (4-group map) and the pairing of ``leverage``."""
         outputs = []
         for threads in ("1", "2"):
             env = child_env(OPENBLAS_NUM_THREADS=threads)
             corpus = tmp_path / threads / "corpus"
             diag = tmp_path / threads / "diag"
+            subprocess.run(
+                [sys.executable, "-m", "bayeslens.cli", "simulate", "--demo",
+                 "--draws", "600", "--out", str(corpus)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            loglik, meta, pred = (
+                str(corpus / name) for name in ("loglik.csv", "metadata.json", "predictive.csv")
+            )
+            obs_ids = (corpus / "loglik.csv").read_text().split("\n", 1)[0].split(",")
+            groups = tmp_path / threads / "groups.json"
+            groups.write_text(json.dumps({obs: f"g{i % 4}" for i, obs in enumerate(obs_ids)}))
             for argv in (
-                ["simulate", "--demo", "--draws", "600", "--out", str(corpus)],
-                ["outliers", "--loglik", str(corpus / "loglik.csv"),
-                 "--meta", str(corpus / "metadata.json"),
-                 "--pred", str(corpus / "predictive.csv"), "--out", str(diag)],
+                ["outliers", "--loglik", loglik, "--meta", meta, "--pred", pred],
+                ["conflict", "--loglik", loglik, "--meta", meta, "--groups", str(groups)],
+                ["leverage", "--pred", pred, "--meta", meta],
             ):
                 subprocess.run(
-                    [sys.executable, "-m", "bayeslens.cli", *argv],
+                    [sys.executable, "-m", "bayeslens.cli", *argv, "--out", str(diag)],
                     env=env, check=True, capture_output=True, timeout=120,
                 )
             outputs.append(diag)
-        for name in ("clout.csv", "scree.csv", "eigen.json"):
+        for name in ("clout.csv", "scree.csv", "eigen.json", "group_conflict.csv",
+                     "group_conflict.json", "influence_report.csv", "influence_report.json",
+                     "hat_values.csv", "hat_values.json"):
             assert (outputs[0] / name).read_bytes() == (
                 outputs[1] / name
             ).read_bytes(), name
@@ -1125,8 +1138,7 @@ OPTIONS = {
     "leverage": ["--kl-symmetrize", "--seed"],
     "outliers": ["--trunc-rank", "--kl-symmetrize", "--seed"],
     "oracle": [],
-    "simulate": ["--chains", "--outlier-idx", "--outlier-scale", "--leverage-idx",
-                 "--leverage-shift", "--seed"],
+    "simulate": ["--chains", "--outlier-idx", "--leverage-idx", "--seed"],
 }
 JUNK = ("", "-", "--", "-x", "--bogus", "nan", "-inf", "1e999", "0x10", "on",
         "influence", "--threshold=nan", "--seed=-1", "--draws=", "--trunc-rank=0")
@@ -1145,7 +1157,7 @@ def fuzz_argv(draw, corpus):
         "--loglik": paths, "--meta": paths, "--pred": paths, "--groups": paths,
         "--spec": paths, "--seed": ints, "--draws": ints, "--chains": ints,
         "--trunc-rank": ints, "--outlier-idx": ints, "--leverage-idx": ints,
-        "--threshold": floats, "--outlier-scale": floats, "--leverage-shift": floats,
+        "--threshold": floats,
         "--strict": None, "--kl-symmetrize": None, "--demo": None,
     }
     command = draw(st.sampled_from([*NEEDS] * 3 + ["bogus", ""]))

@@ -335,30 +335,26 @@ class TestPlantAnomalies:
     def test_validation(self):
         spec = self.base_spec()
         with pytest.raises(IndexOutOfRange):
-            plant_anomalies(spec, -1, 8.0, 3, 5.0)
+            plant_anomalies(spec, -1, 3)
         with pytest.raises(IndexOutOfRange):
-            plant_anomalies(spec, 2, 8.0, 2, 5.0)
-        with pytest.raises(InvalidParameter):
-            plant_anomalies(spec, 1, 1.0, 3, 5.0)
-        with pytest.raises(InvalidParameter):
-            plant_anomalies(spec, 1, 8.0, 3, 0.0)
+            plant_anomalies(spec, 2, 2)
 
     def test_leverage_point_has_max_hat_value(self):
         spec = self.base_spec()
-        planted = plant_anomalies(spec, 5, 8.0, 17, 5.0)
+        planted = plant_anomalies(spec, 5, 17)
         diag = fit(planted)
         assert int(np.argmax(diag.hat_diag)) == 17
 
     def test_outlier_has_max_influence_leverage_ratio(self):
         spec = self.base_spec()
-        planted = plant_anomalies(spec, 5, 8.0, 17, 5.0)
+        planted = plant_anomalies(spec, 5, 17)
         diag = fit(planted)
         ratio = diag.linf / diag.hat_diag
         assert int(np.argmax(ratio)) == 5
 
     def test_leverage_point_sits_on_refit_line(self):
         spec = self.base_spec()
-        planted = plant_anomalies(spec, 5, 8.0, 17, 5.0)
+        planted = plant_anomalies(spec, 5, 17)
         diag = fit(planted)
         assert diag.residuals[17] == pytest.approx(0.0, abs=1e-9)
 

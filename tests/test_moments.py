@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayeslens import GroupMap, LogLikSamples, cross_conflict, moments
-from bayeslens.moments import block_moments, centred_sums, co_moments, merge_sums, pool
+from bayeslens.moments import (
+    block_moments,
+    centred_sums,
+    co_moments,
+    merge_sums,
+    pool,
+    row_moments,
+)
 
 PACKAGE = pathlib.Path(moments.__file__).resolve().parent
 
@@ -32,14 +39,48 @@ def _spread_draws(rng, draws, n_obs):
 def test_pooling_any_contiguous_split(seed, draws, n_obs, cuts):
     values = _spread_draws(np.random.default_rng(seed), draws, n_obs)
     edges = sorted({0, draws, *(int(c * draws) for c in cuts)})
-    scratch = np.empty(values.shape)
-    pooled = pool([block_moments(values[a:b], scratch) for a, b in zip(edges, edges[1:])])
-    whole = block_moments(values, scratch)
+    pooled = pool([block_moments(values[a:b]) for a, b in zip(edges, edges[1:])])
+    whole = block_moments(values)
     assert pooled.count == whole.count
     np.testing.assert_array_equal(pooled.high, whole.high)
     np.testing.assert_array_equal(pooled.low, whole.low)
     np.testing.assert_allclose(pooled.linf(), whole.linf(), rtol=1e-12)
     np.testing.assert_allclose(pooled.dinf(), whole.dinf(), rtol=1e-9)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    draws=st.integers(8, 120),
+    n_obs=st.integers(1, 5),
+    layout=st.sampled_from(["contiguous", "strided", "subset"]),
+    block_bytes=st.integers(1, 4000),
+)
+def test_row_moments_any_row_set_and_block_size(seed, draws, n_obs, layout, block_bytes):
+    """Folding an ascending row set in blocks of ``BLOCK_BYTES`` gives the
+    moments of its gathered rows: extrema exactly, linf within 1e-12 and dinf
+    within 1e-9, and every field bit for bit when the rows fit in one block."""
+    rng = np.random.default_rng(seed)
+    values = _spread_draws(rng, draws, n_obs)
+    if layout == "contiguous":
+        start = int(rng.integers(0, draws - 1))
+        rows = np.arange(start, int(rng.integers(start + 2, draws + 1)))
+    elif layout == "strided":
+        rows = np.arange(int(rng.integers(0, 2)), draws, int(rng.integers(2, 5)))
+    else:
+        size = int(rng.integers(2, draws + 1))
+        rows = np.sort(rng.choice(draws, size=size, replace=False))
+    with mock.patch.object(moments, "BLOCK_BYTES", block_bytes):
+        folded = row_moments(values, rows)
+    whole = block_moments(values[rows])
+    assert folded.count == whole.count == rows.size
+    np.testing.assert_array_equal(folded.high, whole.high)
+    np.testing.assert_array_equal(folded.low, whole.low)
+    np.testing.assert_allclose(folded.linf(), whole.linf(), rtol=1e-12)
+    np.testing.assert_allclose(folded.dinf(), whole.dinf(), rtol=1e-9)
+    if rows.size <= block_bytes // values[0].nbytes:
+        for got, expected in zip(folded, whole):
+            np.testing.assert_array_equal(got, expected)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

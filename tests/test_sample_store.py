@@ -758,6 +758,19 @@ class TestPredictiveDraws:
         with pytest.raises(FamilyMismatch, match="mixed"):
             load_predictive(pred_file, meta)
 
+    def test_empty_families_object_names_no_family(self, tmp_path):
+        """``"families": {}`` is a metadata file that names no family, not a
+        mix of families."""
+        pred_file, meta = write_corpus(
+            tmp_path,
+            "a.rate,b.rate\n1.0,2.0\n1.5,2.5\n",
+            [0, 1],
+            name="pred.csv",
+            families={},
+        )
+        with pytest.raises(FamilyMismatch, match="names no predictive family"):
+            load_predictive(pred_file, meta)
+
     @pytest.mark.parametrize("value", [1, ["poisson"]], ids=["number", "list"])
     def test_non_string_family_rejected(self, tmp_path, value):
         """A per-observation family that is not a string is a FamilyMismatch,
