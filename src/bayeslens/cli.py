@@ -61,7 +61,9 @@ def _stderr_line(record: dict) -> None:
 
 
 def _fail(exc: Exception) -> int:
-    code = exc.code if isinstance(exc, DiagnosticsError) else type(exc).__name__
+    # numpy's allocation failure is a private subclass of MemoryError
+    public = MemoryError if isinstance(exc, MemoryError) else type(exc)
+    code = exc.code if isinstance(exc, DiagnosticsError) else public.__name__
     _stderr_line({"error": code, "message": str(exc)})
     return 1
 
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threshold",
             # nan never flags and would be written as non-standard JSON
             type=_checked(float, math.isfinite, "a finite number"),
-            default=3.0,
+            default=influence_mod.CONFLICT_THRESHOLD,
             help="conflict flag level",
         )
         p.add_argument("--strict", action="store_true", help="exit 2 when flagged")
@@ -367,7 +369,7 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
             code = args.handler(args)
-        except (DiagnosticsError, OSError) as exc:
+        except (DiagnosticsError, OSError, MemoryError) as exc:
             return _fail(exc)
     for warning in caught:
         message = warning.message

@@ -28,7 +28,7 @@ from .errors import (
     ZeroTrace,
 )
 from .families import check_params, is_whole
-from .moments import Moments, co_moments, mcse, pool, row_moments, weighted_sums
+from .moments import Moments, block_moments, co_moments, mcse, pool, row_blocks, weighted_sums
 from .sample_store import (
     GroupMap,
     LogLikSamples,
@@ -116,6 +116,9 @@ def clinf_direction(cov, eps) -> float:
     return float(vec @ matrix @ vec) / (trace * float(vec @ vec))
 
 
+CONFLICT_THRESHOLD = 3.0  # the p_v / p_w at or above which a report or a group is flagged
+
+
 @dataclass(frozen=True)
 class CrossConflict:
     """Per-group conflict ratios; groups with constant log-likelihoods get NaN."""
@@ -126,7 +129,7 @@ class CrossConflict:
     ratio: np.ndarray
     zero_trace: tuple[str, ...]
 
-    def flagged(self, threshold: float = 3.0) -> tuple[str, ...]:
+    def flagged(self, threshold: float = CONFLICT_THRESHOLD) -> tuple[str, ...]:
         hits = [
             label
             for label, value in zip(self.group_labels, self.ratio)
@@ -240,12 +243,12 @@ def _statistics(moments: Moments, row_totals: np.ndarray) -> dict:
 
 
 def influence_report(
-    samples: LogLikSamples, *, conflict_threshold: float = 3.0
+    samples: LogLikSamples, *, conflict_threshold: float = CONFLICT_THRESHOLD
 ) -> InfluenceReport:
     """Compute every influence diagnostic with replicate-based standard errors.
 
     The column moments of each replicate (a chain, or half of a single chain)
-    are folded once by ``row_moments``, in blocks of ``BLOCK_BYTES``, so the
+    are pooled from the ``block_moments`` of its ``row_blocks``, so the
     scratch is one block whatever the length of a chain. ``_statistics`` of
     the pooled moments gives the point estimates, and of each replicate's
     moments a replicate; each ``*_mcse`` is the standard error of that
@@ -258,7 +261,7 @@ def influence_report(
     replicated = all(len(g) >= 2 for g in groups_idx)
     if not replicated:
         groups_idx = [np.arange(values.shape[0])]
-    parts = [row_moments(values, idx) for idx in groups_idx]
+    parts = [pool([block_moments(b) for b in row_blocks(values, idx)]) for idx in groups_idx]
     row_totals = values.sum(axis=1)
     estimates = _statistics(pool(parts), row_totals)
     if estimates["p_w"] <= 0.0:

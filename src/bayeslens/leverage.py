@@ -121,7 +121,7 @@ def _split_streams(draw_chain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def hat_values(
     pred: PredictiveDraws,
     *,
-    seed: int = 0,
+    seed: int,
     symmetrize: bool = False,
 ) -> HatValues:
     """Estimate per-observation hat-values by pairing two draw streams.
@@ -151,31 +151,31 @@ def hat_values(
     rows2 = idx2[rng.permutation(idx2.shape[0])][:n_pairs]
     # the draws were checked when ``pred`` was built, so no pair is re-checked
     kl = FAMILIES[pred.family].kl
-    # Pairs are gathered and evaluated a block at a time, and each block is
-    # folded into running moments, so neither a permuted copy of the params
-    # nor an array of all pair values is made. The KL is elementwise:
-    # blocking leaves its bits.
-    block = min(n_pairs, max(1, moments.BLOCK_BYTES // pred.params[0].nbytes))
-    scratch = np.empty((block + 1, pred.n_obs))
+    # Pairs are gathered, evaluated and folded into running moments a block
+    # at a time, so neither a permuted copy of the params nor an array of all
+    # pair values is made. The KL is elementwise: blocking leaves its bits.
     negative = np.zeros(pred.n_obs, dtype=int)
-    for start in range(0, n_pairs, block):
-        count = min(block, n_pairs - start)
-        params1 = pred.params[rows1[start:start + count]]
-        params2 = pred.params[rows2[start:start + count]]
+    scratch = None
+    for params1, params2 in zip(moments.row_blocks(pred.params, rows1),
+                                moments.row_blocks(pred.params, rows2)):
+        count = params1.shape[0]
+        if first := scratch is None:  # the first block is the largest
+            scratch = np.empty((count + 1, pred.n_obs))
         values = scratch[1:count + 1]
         values[...] = kl(params1, params2, pred.fixed)
         if symmetrize:
             values += kl(params2, params1, pred.fixed)
             values /= 2.0
+        del params1, params2  # else the loop names keep this pair alive while the next is gathered
         # Row 0 carries the column sums of the earlier blocks, so summing it
         # with this block's rows continues numpy's sequential axis-0 sum of
         # all pairs bit for bit (a single column is summed pairwise instead).
-        scratch[0] = scratch[0 if start else 1:count + 1].sum(axis=0)
+        scratch[0] = scratch[1 if first else 0:count + 1].sum(axis=0)
         negative += (values < 0.0).sum(axis=0)
         block_totals = values.sum(axis=1)
         block_totals = moments.centred_sums(block_totals, block_totals)
         block_columns = moments.centred_sums(values, values)  # overwrites the block
-        if start:
+        if not first:
             block_totals = moments.merge_sums(pair_totals, block_totals)
             block_columns = moments.merge_sums(columns, block_columns)
         pair_totals, columns = block_totals, block_columns

@@ -5,8 +5,8 @@ the covariance V and the hat-values are statistics of column moments of the
 draws. Each kernel takes the moments of one block of rows, and the moments
 of disjoint blocks merge by Chan, Golub & LeVeque (1979). The covariance,
 the influence moments, the cross-conflict sums and the hat-value pairs fold
-blocks of ``BLOCK_BYTES``, so their scratch is a block whatever the number
-of draws. Variance convention: unbiased, denominator S - 1.
+the blocks of one walker, ``row_blocks``, so their scratch is a block
+whatever the number of draws. Variance convention: unbiased, denominator S - 1.
 """
 
 from __future__ import annotations
@@ -16,10 +16,27 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Draws per block of every fold (the covariance, the influence moments, the
-# cross-conflict sums and the hat-value pairs): about 1 MB. Read at call
-# time, so that one assignment changes all four.
+# Bytes per block of draws: about 1 MB. Only ``row_blocks`` reads it, at
+# call time, so that one assignment changes every fold.
 BLOCK_BYTES = 1 << 20
+
+
+def row_blocks(values: np.ndarray, rows: np.ndarray | None = None, min_rows: int = 1):
+    """The rows ``rows`` of ``values`` (all rows when None) in their given
+    order, in blocks of ``max(min_rows, BLOCK_BYTES // row bytes)`` rows of
+    which only the last may be shorter. A block of consecutive ascending rows
+    is a view of ``values``; any other block is gathered."""
+    size = max(min_rows, BLOCK_BYTES // values[0].nbytes)
+    for start in range(0, values.shape[0] if rows is None else rows.size, size):
+        if rows is None:
+            yield values[start:start + size]
+            continue
+        piece = rows[start:start + size]
+        first, last = piece[0], piece[-1]
+        # the ends alone do not decide it: [5, 7, 6, 8] spans its length
+        if last - first + 1 == piece.size and np.array_equal(piece, np.arange(first, last + 1)):
+            piece = slice(first, last + 1)
+        yield values[piece]
 
 
 def co_moments(values: np.ndarray) -> np.ndarray:
@@ -30,18 +47,17 @@ def co_moments(values: np.ndarray) -> np.ndarray:
     the running co-moments in place by Chan, Golub & LeVeque (1979). The
     scratch is one block and one n x n buffer whatever the number of rows.
     """
-    n_rows, n_cols = values.shape
     # At least 4n rows: each merge costs n x n work, and with n-row blocks the
     # fold was slower than np.cov (109 vs 96 ms at 20000 x 400, 359 vs 240 ms
     # at 4000 x 2000).
-    rows = min(n_rows, max(4 * n_cols, BLOCK_BYTES // values[0].nbytes))
-    mean = values[:rows].mean(axis=0)
-    work = values[:rows] - mean
+    blocks = row_blocks(values, min_rows=4 * values.shape[1])
+    first = next(blocks)
+    mean = first.mean(axis=0)
+    work = first - mean
     comoment = work.T @ work
-    buffer = np.empty_like(comoment) if rows < n_rows else None
-    count = rows
-    for start in range(rows, n_rows, rows):
-        block = values[start:start + rows]
+    count = first.shape[0]
+    buffer = np.empty_like(comoment) if count < values.shape[0] else None
+    for block in blocks:
         size = block.shape[0]
         block_mean = block.mean(axis=0)
         centred = np.subtract(block, block_mean, out=work[:size])
@@ -100,15 +116,13 @@ def weighted_sums(values: np.ndarray, weights: np.ndarray) -> tuple[Sums, Sums]:
     one block of ``values`` and one of the product, whatever the number of
     rows. The sums agree with ``centred_sums`` to round-off, not bit for bit.
     """
-    n_rows = values.shape[0]
-    rows = min(n_rows, max(1, BLOCK_BYTES // values[0].nbytes))
-    ones = np.ones(rows)
-    work = np.empty((rows, values.shape[1]))
-    product = np.empty((rows, weights.shape[1]))
     merged = None
-    for start in range(0, n_rows, rows):
-        block = values[start:start + rows]
+    for block in row_blocks(values):
         size = block.shape[0]
+        if merged is None:  # the first block is the largest
+            ones = np.ones(size)
+            work = np.empty((size, values.shape[1]))
+            product = np.empty((size, weights.shape[1]))
         one = ones[:size]
         total = one @ block
         centred = np.subtract(block, total / size, out=work[:size])
@@ -174,26 +188,6 @@ def pool(blocks: list[Moments]) -> Moments:
         np.minimum(a.low, b.low),
         a.exp_sum * np.exp(a.high - high) + b.exp_sum * np.exp(b.high - high),
     )
-
-
-def row_moments(values: np.ndarray, rows: np.ndarray) -> Moments:
-    """The moments of the rows ``rows`` of ``values``, pooled from pieces of
-    at most ``BLOCK_BYTES``.
-
-    ``rows`` must ascend without repeats, as ``replicate_groups`` gives them:
-    then a piece is consecutive exactly when its last row less its first is
-    its length less one, and it is taken as a view; any other piece is
-    gathered, one block at most. Rows that fit in one block give
-    ``block_moments(values[rows])`` bit for bit.
-    """
-    size = max(1, BLOCK_BYTES // values[0].nbytes)
-    blocks = []
-    for start in range(0, rows.size, size):
-        piece = rows[start:start + size]
-        first, last = piece[0], piece[-1]
-        block = values[first:last + 1] if last - first + 1 == piece.size else values[piece]
-        blocks.append(block_moments(block))
-    return pool(blocks)
 
 
 def mcse(replicates: list) -> np.ndarray | float:

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayeslens import LogLikSamples, PredictiveDraws
+from bayeslens import influence as influence_mod
 from bayeslens import linear_oracle as oracle_mod
-from bayeslens.cli import main
+from bayeslens.cli import build_parser, main
 from bayeslens.io_utils import format_float
 from bayeslens.sample_store import write_loglik_csv, write_metadata_json, write_predictive_csv
 
@@ -307,11 +308,40 @@ class TestUsageErrors:
         assert_one_error_line(capsys, "InvalidParameter")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["influence", "conflict"])
+    def test_threshold_default_is_the_library_default(self, command):
+        """``--threshold`` defaults to ``influence.CONFLICT_THRESHOLD``, the
+        flag level of ``influence_report`` and ``CrossConflict.flagged``."""
+        argv = [command, "--loglik", "x.csv", "--meta", "m.json"]
+        if command == "conflict":
+            argv += ["--groups", "g.json"]
+        assert build_parser().parse_args(argv).threshold == influence_mod.CONFLICT_THRESHOLD
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["influence", "--help"])
         assert exc.value.code == 0
         assert "--threshold" in capsys.readouterr().out
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands in for numpy's private subclass of ``MemoryError``."""
+
+
+def test_allocation_failure_fails_closed(tmp_path, capsys, monkeypatch):
+    """A failed allocation exits 1 with one ``MemoryError`` line, whatever
+    the subclass, and writes nothing."""
+    def exhausted(*args, **kwargs):
+        raise _ArrayMemoryError("Unable to allocate 21.8 TiB")
+
+    monkeypatch.setattr(oracle_mod, "exact_sampler", exhausted)
+    out = tmp_path / "out"
+    assert main(["simulate", "--demo", "--draws", str(10**12), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0]) == {"error": "MemoryError",
+                                    "message": "Unable to allocate 21.8 TiB"}
+    assert not out.exists()
 
 
 class TestBadInputsFailClosed:
@@ -949,7 +979,7 @@ class TestDeterminism:
 # hashlib, if it loaded them.
 SCIPY_PROBE = """
 import json, sys
-from bayeslens.cli import main
+from bayeslens.cli import build_parser, main
 from bayeslens.io_utils import format_float
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps(sorted(m for m in sys.modules

@@ -321,6 +321,10 @@ class TestBinomialPw:
         with pytest.raises(InvalidParameter, match="'prob' must lie in"):
             bernoulli_pw([1], [2], [[0.0], [0.6]])
 
+    def test_single_draw(self):
+        with pytest.raises(DegenerateSample, match="need at least 2 draws"):
+            bernoulli_pw([1], [2], [[0.5]])
+
     @pytest.mark.parametrize(
         "y, m, probs",
         [

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from bayeslens.errors import (
     NonFiniteInput,
     SingularSystem,
 )
+from bayeslens import linear_oracle
 from bayeslens.linear_oracle import load_spec_json, write_spec_json
 from bayeslens.sample_store import write_loglik_csv, write_predictive_csv
 
@@ -34,6 +36,56 @@ def intercept_spec(outcomes=(0.0, 0.0, 3.0), sigma2=1.0, psi=0.0):
         noise_variance=sigma2,
         prior_precision=np.array([[psi]]),
     )
+
+
+def spec_of(design=((1.0,), (1.0,)), sigma2=1.0, psi=((0.0,),)):
+    return LinearModelSpec(design=design, outcomes=np.zeros(len(design)),
+                           noise_variance=sigma2, prior_precision=psi)
+
+
+def sample_negative_covariance(tmp_path):
+    # round-off can do this: zero prior, design rows [0.943, 0.943] and
+    # [0.719, 0.719] factor the precision but not its inverse
+    with mock.patch.object(linear_oracle, "_posterior_solver", lambda spec: np.negative):
+        exact_sampler(intercept_spec(), draws=4, chains=1, seed=0)
+
+
+def load_spec_text(tmp_path, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    return load_spec_json(path)
+
+
+CHECKED_SPECS = {
+    "design_not_2d": (lambda tmp: spec_of(design=(1.0, 1.0)), InvalidParameter,
+                      "design must be a 2-d array"),
+    "prior_not_square": (lambda tmp: spec_of(psi=((0.0, 0.0),)), InvalidParameter,
+                         "prior precision must be square"),
+    "zero_noise": (lambda tmp: spec_of(sigma2=0.0), InvalidParameter,
+                   "noise variance must be positive"),
+    "prior_asymmetric": (
+        lambda tmp: spec_of(design=((1.0, 0.0), (0.0, 1.0)), psi=((1.0, 1.0), (0.0, 1.0))),
+        InvalidParameter, "prior precision must be symmetric"),
+    "no_chain": (lambda tmp: exact_sampler(intercept_spec(), draws=4, chains=0, seed=0),
+                 InvalidParameter, "need at least one chain"),
+    "covariance_not_definite": (sample_negative_covariance, SingularSystem,
+                                "posterior covariance is not positive definite"),
+    "constant_design": (lambda tmp: plant_anomalies(intercept_spec(), 0, 1), InvalidParameter,
+                        "no nonconstant column"),
+    "spec_not_object": (lambda tmp: load_spec_text(tmp, "[1]"), InvalidParameter,
+                        "spec JSON must be an object"),
+    "spec_not_numbers": (
+        lambda tmp: load_spec_text(tmp, '{"X": [[1]], "y": [0], "sigma2": "x", "Psi": [[1]]}'),
+        InvalidParameter, "spec values must be numbers"),
+}
+
+
+@pytest.mark.parametrize("case", CHECKED_SPECS)
+def test_checked_spec_raises_its_typed_error(tmp_path, case):
+    build, error, fragment = CHECKED_SPECS[case]
+    with pytest.raises(error) as caught:
+        build(tmp_path)
+    assert fragment in str(caught.value)
 
 
 class TestFit:

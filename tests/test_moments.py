@@ -16,7 +16,7 @@ from bayeslens.moments import (
     co_moments,
     merge_sums,
     pool,
-    row_moments,
+    row_blocks,
 )
 
 PACKAGE = pathlib.Path(moments.__file__).resolve().parent
@@ -71,7 +71,7 @@ def test_row_moments_any_row_set_and_block_size(seed, draws, n_obs, layout, bloc
         size = int(rng.integers(2, draws + 1))
         rows = np.sort(rng.choice(draws, size=size, replace=False))
     with mock.patch.object(moments, "BLOCK_BYTES", block_bytes):
-        folded = row_moments(values, rows)
+        folded = pool([block_moments(b) for b in row_blocks(values, rows)])
     whole = block_moments(values[rows])
     assert folded.count == whole.count == rows.size
     np.testing.assert_array_equal(folded.high, whole.high)
@@ -81,6 +81,56 @@ def test_row_moments_any_row_set_and_block_size(seed, draws, n_obs, layout, bloc
     if rows.size <= block_bytes // values[0].nbytes:
         for got, expected in zip(folded, whole):
             np.testing.assert_array_equal(got, expected)
+
+
+def _requested_rows(rng, draws, layout):
+    """A row set of ``draws`` rows: None for all rows, or an index array."""
+    if layout == "all":
+        return None
+    if layout == "contiguous":
+        start = int(rng.integers(0, draws))
+        return np.arange(start, int(rng.integers(start + 1, draws + 1)))
+    if layout == "strided":
+        return np.arange(int(rng.integers(0, min(2, draws))), draws, int(rng.integers(2, 5)))
+    if layout == "subset":
+        return np.sort(rng.choice(draws, size=int(rng.integers(1, draws + 1)), replace=False))
+    if layout == "swapped":
+        # swapping neighbours makes pieces such as [5, 7, 6, 8], whose ends
+        # span their length although they are not consecutive
+        rows = np.arange(draws)
+        for i in rng.integers(0, max(1, draws - 1), size=draws // 3):
+            rows[i:i + 2] = rows[i:i + 2][::-1]
+        return rows
+    return rng.permutation(draws)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    draws=st.integers(1, 120),
+    row_shape=st.sampled_from([(1,), (3,), (2, 2)]),
+    layout=st.sampled_from(["all", "contiguous", "strided", "subset", "swapped", "permutation"]),
+    block_bytes=st.integers(1, 4000),
+    min_rows=st.integers(1, 12),
+)
+def test_row_blocks_any_row_set_and_block_size(seed, draws, row_shape, layout, block_bytes,
+                                               min_rows):
+    """Every requested row comes once and in the given order, in blocks of
+    ``max(min_rows, BLOCK_BYTES // row bytes)`` rows of which only the last
+    is shorter, and a block is a view exactly when its rows are consecutive."""
+    rng = np.random.default_rng(seed)
+    values = np.arange(draws, dtype=float).reshape(-1, *[1] * len(row_shape)) * np.ones(row_shape)
+    rows = _requested_rows(rng, draws, layout)
+    with mock.patch.object(moments, "BLOCK_BYTES", block_bytes):
+        blocks = list(row_blocks(values, rows, min_rows))
+    wanted = np.arange(draws) if rows is None else rows
+    size = max(min_rows, block_bytes // values[0].nbytes)
+    pieces = [wanted[start:start + size] for start in range(0, wanted.size, size)]
+    assert len(blocks) == len(pieces)
+    for block, piece in zip(blocks, pieces):
+        np.testing.assert_array_equal(block, values[piece])
+        consecutive = np.array_equal(piece, np.arange(piece[0], piece[0] + piece.size))
+        assert np.shares_memory(block, values) == consecutive, piece
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -158,3 +208,26 @@ def test_no_module_imports_a_private_name():
                           f"import {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert not found, found
+
+
+def _block_budget_reads(node, scope=None):
+    """(enclosing function, line) of each use of ``BLOCK_BYTES`` under ``node``,
+    by name or as an attribute."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    if (isinstance(node, ast.Name) and node.id == "BLOCK_BYTES" and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and node.attr == "BLOCK_BYTES"):
+        yield scope, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _block_budget_reads(child, scope)
+
+
+def test_only_row_blocks_reads_the_block_budget():
+    """``BLOCK_BYTES`` is read in one place, ``moments.row_blocks``, so every
+    fold cuts its blocks by one rule."""
+    reads = [(path.name, scope, line)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for scope, line in _block_budget_reads(ast.parse(path.read_text(encoding="utf-8")))]
+    assert any(read[:2] == ("moments.py", "row_blocks") for read in reads), reads
+    others = [read for read in reads if read[:2] != ("moments.py", "row_blocks")]
+    assert not others, others

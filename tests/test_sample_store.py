@@ -30,6 +30,7 @@ from bayeslens.sample_store import (
     _read_csv_table,
     _read_csv_table_checked,
     check_aligned,
+    load_group_map,
     load_predictive,
     load_samples,
     replicate_groups,
@@ -619,6 +620,63 @@ class TestContainerErrors:
         with pytest.raises(DegenerateSample, match="at least 2 draws"):
             make(array[:1], [0])
         assert not make(array[:2], [0, 1]).draw_chain.flags.writeable
+
+
+def two_draws(chains=(0, 1), ids="ab", n_obs=2):
+    """Two draws of zeros with the given chain labels and ids."""
+    return LogLikSamples(values=np.zeros((2, n_obs)), draw_chain=list(chains), obs_ids=ids)
+
+
+def write_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def load_pred_header(tmp_path, header, family):
+    pred = write_file(tmp_path, "pred.csv", f"{header}\n1,2\n3,4\n")
+    meta = write_file(tmp_path, "meta.json", f'{{"chains": [0, 1], "families": "{family}"}}')
+    return load_predictive(pred, meta)
+
+
+CHECKED_INPUTS = {
+    # the loaders check the label count first, so the containers' own check is
+    # reached only from the library
+    "chain_count": (lambda tmp: two_draws(chains=(0, 0, 1)), ChainMismatch,
+                    "chain metadata has 3 entries but there are 2 draws"),
+    "negative_chain": (lambda tmp: two_draws(chains=(0, -1)), ChainMismatch,
+                       "non-negative integers"),
+    "no_observation": (lambda tmp: two_draws(ids="", n_obs=0), DegenerateSample,
+                       "at least 1 observation"),
+    "unaligned_ids": (
+        lambda tmp: check_aligned(two_draws(), PredictiveDraws(
+            family="poisson", params=np.ones((2, 2, 1)), draw_chain=[0, 1], obs_ids="ba")),
+        UnknownObsId, "do not match"),
+    "empty_group_map": (lambda tmp: GroupMap({}), UncoveredObsId, "group map is empty"),
+    "empty_column_name": (
+        lambda tmp: load_samples(write_file(tmp, "loglik.csv", "a,,b\n0,1,2\n3,4,5\n"),
+                                 write_file(tmp, "meta.json", '{"chains": [0, 1]}')),
+        MalformedCsv, "header contains an empty column name"),
+    "metadata_not_object": (
+        lambda tmp: load_samples(write_file(tmp, "loglik.csv", "a\n0\n1\n"),
+                                 write_file(tmp, "meta.json", "[0, 1]")),
+        ChainMismatch, "metadata must be an object with a 'chains' list"),
+    "repeated_column": (lambda tmp: load_pred_header(tmp, "a.rate,a.rate", "poisson"),
+                        DuplicateObsId, "repeated column 'a.rate'"),
+    "missing_column": (lambda tmp: load_pred_header(tmp, "a.mean,b.mean", "normal"),
+                       MalformedCsv, "observation 'a' is missing columns ['var']"),
+    "group_map_not_object": (
+        lambda tmp: load_group_map(write_file(tmp, "groups.json", '["a", "b"]')),
+        UncoveredObsId, "group map must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", CHECKED_INPUTS)
+def test_checked_input_raises_its_typed_error(tmp_path, case):
+    build, error, fragment = CHECKED_INPUTS[case]
+    with pytest.raises(error) as caught:
+        build(tmp_path)
+    assert fragment in str(caught.value)
 
 
 def contain(kind, array):
