@@ -257,6 +257,8 @@ def influence_report(
     threshold; it is a pointer for further investigation, never a hard failure.
     """
     values = samples.values
+    # before any fold: its sort is the call's largest transient
+    n_chains = len(chain_order(samples.draw_chain))
     groups_idx = replicate_groups(samples.draw_chain)
     replicated = all(len(g) >= 2 for g in groups_idx)
     if not replicated:
@@ -286,5 +288,5 @@ def influence_report(
         conflict_threshold=conflict_threshold,
         flagged=estimates["conflict_ratio"] >= conflict_threshold,
         n_draws=samples.n_draws,
-        n_chains=len(chain_order(samples.draw_chain)),
+        n_chains=n_chains,
     )

@@ -134,53 +134,51 @@ def hat_values(
     of a near-identical pair negative; such pairs are counted, and negative
     hat-values are floored at zero.
 
-    Each block is folded into running moments rather than kept. The
-    hat-values are bit-identical to the column means of the array of all
-    pair values (for two or more observations; a single column's sum is
-    sequential across blocks, where numpy's is pairwise). ``mcse`` and
-    ``p_d_star_mcse`` merge the blocks' centred sums of squares by Chan's
-    rule, so they may differ from that array's standard deviations by
-    round-off when there is more than one block.
+    Each block is folded into running moments (``moments.centred_sums``,
+    merged by Chan's rule) rather than kept, with ufunc reductions only, so
+    the bits do not depend on the BLAS thread count. The hat-values, ``mcse``
+    and ``p_d_star_mcse`` agree with the column means and standard deviations
+    of the array of all pair values to round-off; ``negative_pairs`` counts
+    exactly.
     """
     idx1, idx2 = _split_streams(pred.draw_chain)
     n_pairs = min(idx1.shape[0], idx2.shape[0])
     if n_pairs < 2:
         raise SingleDraw("each draw stream needs at least 2 draws")
+    # in place: the same order as indexing by ``rng.permutation``, without its copies
     rng = np.random.default_rng(seed)
-    rows1 = idx1[rng.permutation(idx1.shape[0])][:n_pairs]
-    rows2 = idx2[rng.permutation(idx2.shape[0])][:n_pairs]
+    rng.shuffle(idx1)
+    rng.shuffle(idx2)
+    rows1, rows2 = idx1[:n_pairs], idx2[:n_pairs]
     # the draws were checked when ``pred`` was built, so no pair is re-checked
     kl = FAMILIES[pred.family].kl
     # Pairs are gathered, evaluated and folded into running moments a block
     # at a time, so neither a permuted copy of the params nor an array of all
     # pair values is made. The KL is elementwise: blocking leaves its bits.
     negative = np.zeros(pred.n_obs, dtype=int)
-    scratch = None
+    scratch = merged = None
     for params1, params2 in zip(moments.row_blocks(pred.params, rows1),
                                 moments.row_blocks(pred.params, rows2)):
         count = params1.shape[0]
-        if first := scratch is None:  # the first block is the largest
-            scratch = np.empty((count + 1, pred.n_obs))
-        values = scratch[1:count + 1]
+        if scratch is None:  # the first block is the largest
+            scratch = np.empty((count, pred.n_obs))
+        values = scratch[:count]
         values[...] = kl(params1, params2, pred.fixed)
         if symmetrize:
             values += kl(params2, params1, pred.fixed)
             values /= 2.0
         del params1, params2  # else the loop names keep this pair alive while the next is gathered
-        # Row 0 carries the column sums of the earlier blocks, so summing it
-        # with this block's rows continues numpy's sequential axis-0 sum of
-        # all pairs bit for bit (a single column is summed pairwise instead).
-        scratch[0] = scratch[1 if first else 0:count + 1].sum(axis=0)
-        negative += (values < 0.0).sum(axis=0)
+        wide, k = moments.widen(values)
+        negative += moments.column_reduce(np.add, wide < 0.0, k)
         block_totals = values.sum(axis=1)
-        block_totals = moments.centred_sums(block_totals, block_totals)
-        block_columns = moments.centred_sums(values, values)  # overwrites the block
-        if not first:
-            block_totals = moments.merge_sums(pair_totals, block_totals)
-            block_columns = moments.merge_sums(columns, block_columns)
-        pair_totals, columns = block_totals, block_columns
+        sums = (
+            moments.centred_sums(block_totals, block_totals),
+            moments.centred_sums(values, values),  # overwrites the block
+        )
+        merged = sums if merged is None else tuple(map(moments.merge_sums, merged, sums))
+    pair_totals, columns = merged
 
-    raw = scratch[0] / n_pairs
+    raw = columns.total / n_pairs
     mcse = np.sqrt(columns.sq_dev / (n_pairs - 1)) / math.sqrt(n_pairs)
     floored = raw < 0.0
     if np.any(floored):

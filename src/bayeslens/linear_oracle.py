@@ -112,12 +112,20 @@ class LinearDiagnostics:
 
 def _cholesky_solver(matrix: np.ndarray):
     """``rhs -> matrix^{-1} rhs`` through a Cholesky factor; None unless positive
-    definite with a finite factor (an overflowed entry factors to inf)."""
+    definite with a finite factor (an overflowed entry factors to inf) whose
+    every squared pivot exceeds n eps times its diagonal entry: below that the
+    pivot of an exactly singular matrix is round-off, such as the 2.1e-8 of
+    [[2, 2], [2, 2]]. Each ratio is the share of a column's own scale left after
+    the columns before it, so scaling row and column i by one factor (a
+    parameter's units) leaves the test alone."""
     try:
         lower = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(lower).all():
+    pivots = np.diagonal(lower)
+    if not np.isfinite(lower).all() or np.any(
+        pivots**2 <= matrix.shape[0] * np.finfo(float).eps * np.diagonal(matrix)
+    ):
         return None
     return lambda rhs: np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
@@ -132,6 +140,17 @@ def _posterior_solver(spec: LinearModelSpec):
     return solve
 
 
+def _posterior_covariance(spec: LinearModelSpec, solve) -> np.ndarray:
+    """sigma2 (Psi*sigma2 + X'X)^{-1}, which must be finite: a precision of
+    subnormal entries factors, but its inverse overflows."""
+    with np.errstate(over="ignore"):
+        covariance = spec.noise_variance * solve(np.eye(spec.n_params))
+    if not np.isfinite(covariance).all():
+        raise SingularSystem("the spec's posterior covariance sigma2 (Psi*sigma2 + X'X)^-1 "
+                             "overflows")
+    return covariance
+
+
 def fit(spec: LinearModelSpec) -> LinearDiagnostics:
     """Closed-form diagnostics: hat matrix, residuals, influence statistics.
 
@@ -143,6 +162,7 @@ def fit(spec: LinearModelSpec) -> LinearDiagnostics:
     p_v    = 2 (r'Hr / sigma2 + tr(H^2) / 2)
     """
     solve = _posterior_solver(spec)
+    posterior_cov = _posterior_covariance(spec, solve)
     design = spec.design
     sigma2 = spec.noise_variance
     hat = design @ solve(design.T)
@@ -170,8 +190,6 @@ def fit(spec: LinearModelSpec) -> LinearDiagnostics:
     p_v = 2.0 * (float(residuals @ hat @ residuals) / sigma2 + float(np.sum(hat**2)) / 2.0)
 
     gram = design.T @ design
-    identity = np.eye(spec.n_params)
-    posterior_cov = sigma2 * solve(identity)
     fisher = gram / sigma2
     sandwich = fisher @ posterior_cov @ fisher
     gram_solve = _cholesky_solver(gram)
@@ -216,8 +234,8 @@ def exact_sampler(
         )
     solve = _posterior_solver(spec)
     sigma2 = spec.noise_variance
+    posterior_cov = _posterior_covariance(spec, solve)
     theta_bar = solve(spec.design.T @ spec.outcomes)
-    posterior_cov = sigma2 * solve(np.eye(spec.n_params))
     posterior_cov = (posterior_cov + posterior_cov.T) / 2.0
     try:
         chol = np.linalg.cholesky(posterior_cov)

@@ -6,7 +6,10 @@ draws. Each kernel takes the moments of one block of rows, and the moments
 of disjoint blocks merge by Chan, Golub & LeVeque (1979). The covariance,
 the influence moments, the cross-conflict sums and the hat-value pairs fold
 the blocks of one walker, ``row_blocks``, so their scratch is a block
-whatever the number of draws. Variance convention: unbiased, denominator S - 1.
+whatever the number of draws. A column operation on a block of narrow rows
+would run one short numpy loop per draw, so each fold views k draws as one
+row (``widen``) and reduces the k copies at the end (``column_reduce``).
+Variance convention: unbiased, denominator S - 1.
 """
 
 from __future__ import annotations
@@ -19,14 +22,22 @@ import numpy as np
 # Bytes per block of draws: about 1 MB. Only ``row_blocks`` reads it, at
 # call time, so that one assignment changes every fold.
 BLOCK_BYTES = 1 << 20
+# Blocks hold a multiple of this many draws, so that ``widen`` can view up to
+# that many as one row. Only ``row_blocks`` reads it.
+BLOCK_ROW_STEP = 64
 
 
 def row_blocks(values: np.ndarray, rows: np.ndarray | None = None, min_rows: int = 1):
     """The rows ``rows`` of ``values`` (all rows when None) in their given
-    order, in blocks of ``max(min_rows, BLOCK_BYTES // row bytes)`` rows of
-    which only the last may be shorter. A block of consecutive ascending rows
-    is a view of ``values``; any other block is gathered."""
-    size = max(min_rows, BLOCK_BYTES // values[0].nbytes)
+    order, in blocks of ``max(min_rows, budget)`` rows of which only the last
+    may be shorter. The budget is ``BLOCK_BYTES // row bytes`` rounded down to
+    a multiple of ``BLOCK_ROW_STEP`` (unrounded when under one step). A block
+    of consecutive ascending rows is a view of ``values``; any other block is
+    gathered."""
+    budget = BLOCK_BYTES // values[0].nbytes
+    if budget >= BLOCK_ROW_STEP:
+        budget -= budget % BLOCK_ROW_STEP
+    size = max(min_rows, budget)
     for start in range(0, values.shape[0] if rows is None else rows.size, size):
         if rows is None:
             yield values[start:start + size]
@@ -37,6 +48,32 @@ def row_blocks(values: np.ndarray, rows: np.ndarray | None = None, min_rows: int
         if last - first + 1 == piece.size and np.array_equal(piece, np.arange(first, last + 1)):
             piece = slice(first, last + 1)
         yield values[piece]
+
+
+def widen(block: np.ndarray) -> tuple[np.ndarray, int]:
+    """``block`` viewed with k consecutive rows as one, and k: the smallest
+    power of two with k * row >= 512 elements, or the largest that divides
+    the row count if that is smaller. A column operation on the view runs
+    loops of 512 elements where ``block`` would run one per row; a row to
+    broadcast against it is ``np.tile(row, k)``. A 1-D or non-C-contiguous
+    block comes back as it is, with k = 1."""
+    rows = block.shape[0]
+    if block.ndim < 2 or not block.flags.c_contiguous:
+        return block, 1
+    row = block[0].size
+    k = 1
+    while k * row < 512 and rows % (2 * k) == 0:
+        k *= 2
+    return block.reshape(rows // k, k * row), k
+
+
+def column_reduce(ufunc: np.ufunc, wide: np.ndarray, k: int) -> np.ndarray:
+    """``ufunc`` reduced over the rows of a block that ``widen`` viewed as
+    ``wide``: over the rows of the view, then over its k copies of a row.
+    For a C-contiguous block of three or more dimensions the reduced row
+    comes back flattened."""
+    columns = ufunc.reduce(wide, axis=0)
+    return ufunc.reduce(columns.reshape(k, -1), axis=0) if k > 1 else columns
 
 
 def co_moments(values: np.ndarray) -> np.ndarray:
@@ -52,15 +89,17 @@ def co_moments(values: np.ndarray) -> np.ndarray:
     # at 4000 x 2000).
     blocks = row_blocks(values, min_rows=4 * values.shape[1])
     first = next(blocks)
-    mean = first.mean(axis=0)
-    work = first - mean
-    comoment = work.T @ work
     count = first.shape[0]
+    mean = column_reduce(np.add, *widen(first)) / count
+    work = np.empty(first.shape)
+    _centre(first, mean, work)
+    comoment = work.T @ work
     buffer = np.empty_like(comoment) if count < values.shape[0] else None
     for block in blocks:
         size = block.shape[0]
-        block_mean = block.mean(axis=0)
-        centred = np.subtract(block, block_mean, out=work[:size])
+        block_mean = column_reduce(np.add, *widen(block)) / size
+        centred = work[:size]
+        _centre(block, block_mean, centred)
         comoment += np.matmul(centred.T, centred, out=buffer)
         delta = block_mean - mean
         comoment += np.multiply.outer(delta, delta * (count * size / (count + size)), out=buffer)
@@ -78,19 +117,29 @@ class Sums(NamedTuple):
     sq_dev: np.ndarray | float
 
 
-def centred_sums(block: np.ndarray, work: np.ndarray) -> Sums:
-    """The ``Sums`` of ``block`` along its first axis; ``work`` (``block``'s
-    shape, and ``block`` itself when it may be overwritten) receives the
-    squared deviations.
+def _centre(block: np.ndarray, mean: np.ndarray, out: np.ndarray) -> None:
+    """Writes ``block`` less the row ``mean`` into ``out`` (C-contiguous and of
+    ``block``'s shape, or ``block`` itself), on ``widen``'s view."""
+    wide, k = widen(block)
+    np.subtract(wide, np.tile(mean, k), out=out.reshape(wide.shape))
 
-    The steps repeat ``numpy.var``'s (sum, divide, subtract, square, sum), so
-    ``sq_dev / (count - 1)`` equals ``block.var(axis=0, ddof=1)`` bit for bit.
+
+def centred_sums(block: np.ndarray, work: np.ndarray) -> Sums:
+    """The ``Sums`` of ``block`` along its first axis; ``work`` (C-contiguous
+    and of ``block``'s shape, or ``block`` itself when it may be overwritten)
+    receives the squared deviations.
+
+    The steps are ``numpy.var``'s (sum, divide, subtract, square, sum) on
+    ``widen``'s views, so ``sq_dev / (count - 1)`` agrees with
+    ``block.var(axis=0, ddof=1)`` to round-off; a 1-D block, or one of an
+    odd number of rows (k = 1), takes numpy's steps bit for bit.
     """
     count = block.shape[0]
-    total = block.sum(axis=0)
-    np.subtract(block, total / count, out=work)
-    np.square(work, out=work)
-    return Sums(count, total, work.sum(axis=0))
+    total = column_reduce(np.add, *widen(block))
+    _centre(block, total / count, work)
+    wide, k = widen(work)
+    np.square(wide, out=wide)
+    return Sums(count, total, column_reduce(np.add, wide, k))
 
 
 def merge_sums(a, b) -> Sums:
@@ -125,7 +174,8 @@ def weighted_sums(values: np.ndarray, weights: np.ndarray) -> tuple[Sums, Sums]:
             product = np.empty((size, weights.shape[1]))
         one = ones[:size]
         total = one @ block
-        centred = np.subtract(block, total / size, out=work[:size])
+        centred = work[:size]
+        _centre(block, total / size, centred)
         projected = np.matmul(centred, weights, out=product[:size])
         sums = (
             Sums(size, total, one @ np.square(centred, out=centred)),
@@ -160,19 +210,25 @@ class Moments(NamedTuple):
 
 
 def block_moments(block: np.ndarray) -> Moments:
-    """The moments of ``block``; one work array of ``block``'s shape is the
-    only temporary.
+    """The moments of a 2-D ``block``; one work array of ``block``'s shape is
+    the only temporary larger than a few rows.
 
-    The steps repeat ``numpy.var``'s and the max-shifted log-mean-exp's, so
-    ``linf()`` and ``dinf()`` of one block equal ``block.var(axis=0, ddof=1)``
-    and its Jensen gap bit for bit.
+    The steps are ``centred_sums``' and the max-shifted log-mean-exp's on
+    ``widen``'s views, with ufunc reductions only (no BLAS, so the bits do not
+    depend on the thread count). The extrema are exact; ``linf()`` and
+    ``dinf()`` agree with ``block.var(axis=0, ddof=1)`` and its Jensen gap to
+    round-off.
     """
     work = np.empty(block.shape)
     sums = centred_sums(block, work)
-    high = block.max(axis=0)
-    np.subtract(block, high, out=work)
+    wide, k = widen(block)
+    high = column_reduce(np.maximum, wide, k)
+    _centre(block, high, work)
+    work = work.reshape(wide.shape)
     np.exp(work, out=work)
-    return Moments(*sums, high, block.min(axis=0), work.sum(axis=0))
+    return Moments(
+        *sums, high, column_reduce(np.minimum, wide, k), column_reduce(np.add, work, k)
+    )
 
 
 def pool(blocks: list[Moments]) -> Moments:

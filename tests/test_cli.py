@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -837,6 +838,31 @@ class TestOracleCommand:
                         '"sigma2": 1, "Psi": [[0, 0], [0, 0]]}')
         out = tmp_path / "out"
         assert main(["oracle", "--spec", str(spec), "--out", str(out)]) == 1
+        assert_one_error_line(capsys, "SingularSystem")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["oracle", "simulate"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # X'X = [[2, 2], [2, 2]]: singular, factored only by round-off
+            '{"X": [[1, 1], [1, 1]], "y": [0, 1], "sigma2": 1, "Psi": [[0, 0], [0, 0]]}',
+            # a subnormal precision factors, but its inverse overflows
+            '{"X": [[0, 0], [0, 0], [0, 0]], "y": [0, 0, 0], "sigma2": 1, '
+            '"Psi": [[2e-320, 1e-320], [1e-320, 2e-320]]}',
+        ],
+        ids=["singular_precision", "overflowing_covariance"],
+    )
+    def test_improper_posterior_exit_one(self, tmp_path, capsys, command, text):
+        """A spec without a proper finite posterior exits 1 with one
+        SingularSystem line from ``oracle`` and ``simulate --spec`` alike,
+        raises no RuntimeWarning and writes nothing."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--spec", str(spec), "--out", str(out)]) == 1
         assert_one_error_line(capsys, "SingularSystem")
         assert not out.exists()
 

@@ -31,6 +31,8 @@ from bayeslens.errors import (
 from bayeslens.moments import block_moments
 from bayeslens.sample_store import replicate_groups
 
+EPS = np.finfo(float).eps
+
 TOY = [[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]]
 
 
@@ -413,37 +415,76 @@ def _reference_mcse(replicates):
     return stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
 
 
-def _reference_report(samples):
-    """Every MCSE field and ``p_v`` from the per-chain gather loop that
-    ``influence_report`` ran before it pooled block moments."""
+def _exact_dinf(block):
+    """Each column's Jensen gap with every sum taken by ``math.fsum``, and a
+    bound on the error of any float64 fold of the block's R rows: the mean
+    errs by R eps max|x|; the shifted exp sum by (R + 1) eps relative in its
+    summation and eps (high - low) in its shifted terms, which the log turns
+    into absolute error; the log-mean-exp then adds eps |high|. Twice the sum
+    is below 4 (R + 4) eps (1 + max|x|)."""
+    rows = block.shape[0]
+    high = block.max(axis=0)
+    gaps = [2.0 * (h + math.log(math.fsum(np.exp(c - h)) / rows) - math.fsum(c) / rows)
+            for c, h in zip(block.T, high)]
+    gap = np.maximum(gaps, 0.0)
+    gap[block.min(axis=0) == high] = 0.0
+    return gap, 4 * (rows + 4) * EPS * (1.0 + np.abs(block).max(axis=0))
+
+
+def _reference_report(samples, exact_sums):
+    """Every MCSE field and ``p_v`` from per-chain sums taken by
+    ``math.fsum``, each with a bound on its error.
+
+    A replicate statistic off by at most e moves the standard error of m >= 2
+    replicates by at most e (the standard deviation is Lipschitz in each
+    entry with constant sqrt(m / (m - 1)) / sqrt(m) <= 1), and its own
+    arithmetic adds a few eps of the largest replicate: 8 eps here. ``p_v``
+    sums the same row totals as the report, so it and its MCSE carry no bound.
+    """
     values = samples.values
-    rep_linf, rep_dinf, rep_clinf = [], [], []
-    rep_pw, rep_pws, rep_pv, rep_ratio = [], [], [], []
+    reps = {key: [] for key in ("linf", "dinf", "clinf", "p_w", "p_w_star", "p_v", "ratio")}
+    errors = {key: [] for key in reps}
     groups = replicate_groups(samples.draw_chain)
     for idx in groups:
         block = values[idx]
-        block_linf = block.var(axis=0, ddof=1)
-        block_pw = float(np.sum(block_linf))
-        block_pv = 2.0 * float(block.sum(axis=1).var(ddof=1))
-        rep_linf.append(block_linf)
-        rep_dinf.append(_reference_dinf(block))
-        rep_pw.append(block_pw)
-        rep_pws.append(float(np.sum(rep_dinf[-1])))
-        rep_pv.append(block_pv)
-        if block_pw > 0.0:
-            rep_clinf.append(block_linf / block_pw)
-            rep_ratio.append(block_pv / block_pw)
-    have_ratio = len(rep_ratio) == len(groups)
-    return {
-        "linf_mcse": _reference_mcse(rep_linf),
-        "dinf_mcse": _reference_mcse(rep_dinf),
-        "clinf_mcse": _reference_mcse(rep_clinf) if have_ratio else np.full(values.shape[1], np.nan),
-        "p_w_mcse": float(_reference_mcse(rep_pw)),
-        "p_w_star_mcse": float(_reference_mcse(rep_pws)),
-        "p_v_mcse": float(_reference_mcse(rep_pv)),
-        "conflict_ratio_mcse": float(_reference_mcse(rep_ratio)) if have_ratio else math.nan,
-        "p_v": 2.0 * float(values.sum(axis=1).var(ddof=1)),
-    }
+        rows = block.shape[0]
+        _, sq_dev, _, sq_dev_error = exact_sums(block)
+        linf = sq_dev / (rows - 1)
+        linf_error = sq_dev_error / (rows - 1) + EPS * linf
+        dinf, dinf_error = _exact_dinf(block)
+        p_w = math.fsum(linf)
+        p_w_error = float(np.sum(linf_error)) + block.shape[1] * EPS * p_w
+        p_v = 2.0 * float(block.sum(axis=1).var(ddof=1))
+        for key, value, error in (
+            ("linf", linf, linf_error),
+            ("dinf", dinf, dinf_error),
+            ("p_w", p_w, p_w_error),
+            ("p_w_star", math.fsum(dinf), float(np.sum(dinf_error)) + dinf.size * EPS * np.sum(dinf)),
+            ("p_v", p_v, 0.0),
+        ):
+            reps[key].append(value)
+            errors[key].append(error)
+        if p_w > 0.0:
+            # a quotient's relative error is at most the sum of its parts', plus eps
+            reps["clinf"].append(linf / p_w)
+            errors["clinf"].append(linf / p_w * (linf_error / np.where(linf > 0, linf, 1.0)
+                                                 + p_w_error / p_w + EPS))
+            reps["ratio"].append(p_v / p_w)
+            errors["ratio"].append(p_v / p_w * (p_w_error / p_w + EPS))
+    have_ratio = len(reps["ratio"]) == len(groups)
+    expected = {}
+    for key, field in (("linf", "linf_mcse"), ("dinf", "dinf_mcse"), ("clinf", "clinf_mcse"),
+                       ("p_w", "p_w_mcse"), ("p_w_star", "p_w_star_mcse"),
+                       ("p_v", "p_v_mcse"), ("ratio", "conflict_ratio_mcse")):
+        if key in ("clinf", "ratio") and not have_ratio:
+            nan = np.full(values.shape[1], np.nan) if key == "clinf" else math.nan
+            expected[field] = (nan, 0.0)
+            continue
+        stacked = np.stack([np.asarray(r, dtype=float) for r in reps[key]])
+        bound = np.max(errors[key], axis=0) + 8 * EPS * np.abs(stacked).max(axis=0)
+        expected[field] = (_reference_mcse(reps[key]), 0.0 if key == "p_v" else bound)
+    expected["p_v"] = (2.0 * float(values.sum(axis=1).var(ddof=1)), 0.0)
+    return expected
 
 
 def _spread_draws(rng, draws, n_obs):
@@ -465,10 +506,12 @@ CHAIN_LAYOUTS = {
 
 class TestBlockMoments:
     @pytest.mark.parametrize("layout", CHAIN_LAYOUTS)
-    def test_matches_per_chain_reference(self, layout):
-        """MCSEs and p_v are bit-identical to the gather loop; the pooled
-        point estimates agree with the one-pass full-array estimators. A
-        replicate with p_w = 0 makes the clinf and ratio MCSEs NaN, quietly."""
+    def test_matches_per_chain_reference(self, exact_sums, layout):
+        """Each MCSE lies within its stated bound of the MCSE of per-chain
+        statistics summed by ``math.fsum``; ``p_v`` and its MCSE, which sum the
+        same row totals, are bit-identical. The pooled point estimates agree
+        with the one-pass full-array estimators. A replicate with p_w = 0
+        makes the clinf and ratio MCSEs NaN, quietly."""
         chains = CHAIN_LAYOUTS[layout]
         values = _spread_draws(np.random.default_rng(31), 1000, 6)
         if layout == "one_flat_chain":
@@ -482,8 +525,12 @@ class TestBlockMoments:
             assert report.p_w > 0.0
             assert np.all(np.isnan(report.clinf_mcse))
             assert math.isnan(report.conflict_ratio_mcse)
-        for field, expected in _reference_report(samples).items():
-            np.testing.assert_array_equal(getattr(report, field), expected, err_msg=field)
+        for field, (expected, bound) in _reference_report(samples, exact_sums).items():
+            got = getattr(report, field)
+            if np.all(bound == 0.0):
+                np.testing.assert_array_equal(got, expected, err_msg=field)
+            else:
+                assert np.all(np.abs(got - expected) <= bound), (field, got - expected, bound)
         full_linf, full_dinf = one_pass(samples)
         np.testing.assert_allclose(report.linf, full_linf, rtol=1e-12)
         np.testing.assert_allclose(report.clinf, full_linf / full_linf.sum(), rtol=1e-12)

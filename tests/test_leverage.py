@@ -33,6 +33,7 @@ from bayeslens import moments
 from bayeslens.families import FAMILIES
 from bayeslens.leverage import _split_streams
 
+EPS = np.finfo(float).eps
 FAMILY_NAMES = ("normal_known_var", "normal", "poisson", "binomial", "gamma")
 
 # (family, position in a family_kl side, a value outside that parameter's
@@ -324,31 +325,39 @@ def one_shot_pairs(pred, seed, symmetrize):
 
 
 class TestBlockedPairing:
-    """Blocked pairing folded into running moments: the bits of the one-shot
-    formulas for the hat-values and counts, and the one-shot MCSEs within
-    1e-12 relative (bit for bit from a single block)."""
+    """Blocked pairing folded into running moments: the hat-values and MCSEs
+    within the error bound of any float64 fold of the pair values' exact
+    sums, the one-shot MCSEs within 1e-12 relative, and the counts exactly."""
 
-    def check_against_one_shot(self, pred, symmetrize):
-        block = moments.BLOCK_BYTES // pred.params[0].nbytes
+    def check_against_one_shot(self, pred, symmetrize, exact_sums):
         hat = hat_values(pred, seed=13, symmetrize=symmetrize)
         pair_values = one_shot_pairs(pred, 13, symmetrize)
         n_pairs = pair_values.shape[0]
         assert hat.n_pairs == n_pairs
-        values = np.maximum(pair_values.mean(axis=0), 0.0)
-        total = float(np.sum(values))
-        np.testing.assert_array_equal(hat.values, values)
-        assert hat.p_d_star == total
+        total, sq_dev, total_error, sq_dev_error = exact_sums(pair_values)
+        # a mean is its total's bound over n, plus a rounding in each division;
+        # flooring at zero cannot widen the gap
+        mean = total / n_pairs
+        mean_error = total_error / n_pairs + 2 * EPS * np.abs(mean)
+        assert np.all(np.abs(hat.values - np.maximum(mean, 0.0)) <= mean_error)
+        assert hat.p_d_star == float(np.sum(hat.values))
         with np.errstate(invalid="ignore"):  # 0 / 0 where every pair floors
-            np.testing.assert_array_equal(hat.cllev, values / total)
+            np.testing.assert_array_equal(hat.cllev, hat.values / hat.p_d_star)
         np.testing.assert_array_equal(hat.negative_pairs, (pair_values < 0.0).sum(axis=0))
+        # the square root is increasing, so the MCSE lies between those of the
+        # sums of squares' bounds, each off by a rounding in its three steps
+        scale = 1.0 / ((n_pairs - 1) * n_pairs)
+        low = np.sqrt(np.maximum(sq_dev - sq_dev_error, 0.0) * scale) * (1 - 4 * EPS)
+        high = np.sqrt((sq_dev + sq_dev_error) * scale) * (1 + 4 * EPS)
+        assert np.all((low <= hat.mcse) & (hat.mcse <= high))
         mcse = pair_values.std(axis=0, ddof=1) / math.sqrt(n_pairs)
         total_mcse = float(pair_values.sum(axis=1).std(ddof=1) / math.sqrt(n_pairs))
-        if n_pairs <= block:
-            np.testing.assert_array_equal(hat.mcse, mcse)
+        # the merge of block moments reorders the sums of squares
+        np.testing.assert_allclose(hat.mcse, mcse, rtol=1e-12, atol=0.0)
+        if n_pairs <= next(moments.row_blocks(pred.params)).shape[0]:
+            # the row totals of a single block take numpy's steps
             assert hat.p_d_star_mcse == total_mcse
         else:
-            # the merge of block moments reorders the sums of squares
-            np.testing.assert_allclose(hat.mcse, mcse, rtol=1e-12, atol=0.0)
             assert hat.p_d_star_mcse == pytest.approx(total_mcse, rel=1e-12, abs=0.0)
 
     @pytest.mark.filterwarnings("ignore:floored")
@@ -357,23 +366,24 @@ class TestBlockedPairing:
     # blocks of 4 pairs: one block, and one below, at and one above the
     # boundary between the second and a third block
     @pytest.mark.parametrize("n_pairs", [3, 7, 8, 9])
-    def test_small_blocks(self, random_predictive, monkeypatch, family, symmetrize, n_pairs):
+    def test_small_blocks(self, random_predictive, exact_sums, monkeypatch, family, symmetrize,
+                          n_pairs):
         rng = np.random.default_rng(n_pairs)
         pred = random_predictive(family, rng, 2 * n_pairs, 3)
         monkeypatch.setattr(moments, "BLOCK_BYTES", 4 * pred.params[0].nbytes)
-        self.check_against_one_shot(pred, symmetrize)
+        self.check_against_one_shot(pred, symmetrize, exact_sums)
         # near-identical draws: round-off makes some pair KLs negative, and
         # their counts fold in across blocks like the rest
-        self.check_against_one_shot(near_identical(pred, rng), symmetrize)
+        self.check_against_one_shot(near_identical(pred, rng), symmetrize, exact_sums)
 
     @pytest.mark.parametrize("symmetrize", [False, True])
     @pytest.mark.parametrize("family", FAMILY_NAMES)
-    def test_default_block_size(self, random_predictive, family, symmetrize):
-        """One pair more than the default block holds."""
+    def test_default_block_size(self, random_predictive, exact_sums, family, symmetrize):
+        """One pair more than the default block holds (a multiple of 64)."""
         n_obs, k = 3, len(FAMILIES[family].params)
-        block = moments.BLOCK_BYTES // (n_obs * k * 8)
+        block = moments.BLOCK_BYTES // (n_obs * k * 8) // 64 * 64
         pred = random_predictive(family, np.random.default_rng(14), 2 * (block + 1), n_obs)
-        self.check_against_one_shot(pred, symmetrize)
+        self.check_against_one_shot(pred, symmetrize, exact_sums)
 
     def test_peak_memory_bounded(self):
         """No array of all pair values: at n=40, S=200000 (64 MB of draws)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -201,6 +202,58 @@ class TestFit:
         )
         with pytest.raises(SingularSystem):
             fit(spec)
+
+    def test_singular_precision_refused(self):
+        """X'X = [[2, 2], [2, 2]] with a zero prior is exactly singular, and
+        Cholesky factors it by round-off with the pivot 2.1e-8: the squared
+        pivot ratio 2.2e-16 is below n eps, so neither the fit nor the
+        sampler runs on the improper posterior."""
+        spec = spec_of(design=((1.0, 1.0), (1.0, 1.0)), psi=((0.0, 0.0), (0.0, 0.0)))
+        with pytest.raises(SingularSystem):
+            fit(spec)
+        with pytest.raises(SingularSystem):
+            exact_sampler(spec, draws=4, chains=1, seed=0)
+
+    @pytest.mark.parametrize("column, prior", [(1.0, 0.0), (1e-8, 1.0)],
+                             ids=["raw-units-covariate", "steep-prior"])
+    def test_rescaled_parameters_accepted(self, column, prior):
+        """Rescaling a parameter by c (its design column times c, its prior
+        precision times c^2) leaves the model as it was, however far the
+        Cholesky pivots then spread: X'X of a design column in raw units of
+        1e8 has pivots 2.4e8 and 1.4, and Psi = diag(1e16, 1) gives 1e8 and
+        1.7, yet both are well conditioned once their diagonals are scaled.
+        The fit and the draws' log-likelihoods match the unscaled spec's to
+        round-off."""
+        scale = np.array([1e8, 1.0])
+        design = np.array([[1.0, 1.0], [2.0, -1.0], [-1.0, 0.5]]) * [column, 1.0]
+        specs = [
+            LinearModelSpec(design=design * factor, outcomes=np.array([0.3, -1.2, 2.0]),
+                            noise_variance=1.0,
+                            prior_precision=np.diag(prior * factor**2))
+            for factor in (np.ones(2), scale)
+        ]
+        unscaled, rescaled = (fit(spec) for spec in specs)
+        np.testing.assert_allclose(rescaled.hat, unscaled.hat, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(rescaled.linf, unscaled.linf, rtol=1e-9)
+        np.testing.assert_allclose(rescaled.sandwich_identity(),
+                                   unscaled.sandwich_identity(), rtol=1e-7, atol=1e-12)
+        draws = [exact_sampler(spec, draws=20, chains=2, seed=5)[0].values for spec in specs]
+        np.testing.assert_allclose(draws[1], draws[0], rtol=1e-7)
+
+    def test_overflowing_posterior_covariance(self):
+        """A precision of subnormal entries factors, but its inverse
+        overflows: the spec is refused before any draw, with no warning."""
+        spec = LinearModelSpec(
+            design=np.zeros((3, 2)),
+            outcomes=np.zeros(3),
+            noise_variance=1.0,
+            prior_precision=np.array([[2e-320, 1e-320], [1e-320, 2e-320]]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: fit(spec), lambda: exact_sampler(spec, 4, 1, 0)):
+                with pytest.raises(SingularSystem, match="spec's posterior covariance"):
+                    call()
 
     def test_overflowing_precision(self):
         """X'X overflows to inf, which Cholesky factors without complaint; the

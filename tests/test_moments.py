@@ -14,9 +14,11 @@ from bayeslens.moments import (
     block_moments,
     centred_sums,
     co_moments,
+    column_reduce,
     merge_sums,
     pool,
     row_blocks,
+    widen,
 )
 
 PACKAGE = pathlib.Path(moments.__file__).resolve().parent
@@ -116,21 +118,72 @@ def _requested_rows(rng, draws, layout):
 def test_row_blocks_any_row_set_and_block_size(seed, draws, row_shape, layout, block_bytes,
                                                min_rows):
     """Every requested row comes once and in the given order, in blocks of
-    ``max(min_rows, BLOCK_BYTES // row bytes)`` rows of which only the last
-    is shorter, and a block is a view exactly when its rows are consecutive."""
+    ``max(min_rows, budget)`` rows of which only the last is shorter, and a
+    block is a view exactly when its rows are consecutive. The budget is
+    ``BLOCK_BYTES // row bytes`` cut to a multiple of 64 rows when it holds
+    64 or more, so no block outgrows ``max(min_rows, BLOCK_BYTES // row bytes)``."""
     rng = np.random.default_rng(seed)
     values = np.arange(draws, dtype=float).reshape(-1, *[1] * len(row_shape)) * np.ones(row_shape)
     rows = _requested_rows(rng, draws, layout)
     with mock.patch.object(moments, "BLOCK_BYTES", block_bytes):
         blocks = list(row_blocks(values, rows, min_rows))
     wanted = np.arange(draws) if rows is None else rows
-    size = max(min_rows, block_bytes // values[0].nbytes)
+    budget = block_bytes // values[0].nbytes
+    size = max(min_rows, budget if budget < 64 else budget // 64 * 64)
+    assert size <= max(min_rows, budget)
     pieces = [wanted[start:start + size] for start in range(0, wanted.size, size)]
     assert len(blocks) == len(pieces)
     for block, piece in zip(blocks, pieces):
         np.testing.assert_array_equal(block, values[piece])
         consecutive = np.array_equal(piece, np.arange(piece[0], piece[0] + piece.size))
         assert np.shares_memory(block, values) == consecutive, piece
+
+
+def _laid_out(values, layout, rng):
+    """``values``, or a gathered, strided or F-ordered array of its rows."""
+    if layout == "gathered":
+        return values[np.sort(rng.choice(values.shape[0], values.shape[0], replace=False))]
+    if layout == "strided":
+        return np.repeat(values, 2, axis=0)[::2]
+    if layout == "fortran":
+        return np.asfortranarray(values)
+    return values
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 300),
+    multiple=st.sampled_from([1, 64]),
+    width=st.integers(1, 700),
+    pairs=st.booleans(),
+    layout=st.sampled_from(["contiguous", "gathered", "strided", "fortran"]),
+)
+def test_widened_column_folds(exact_sums, seed, rows, multiple, width, pairs, layout):
+    """``widen`` views k rows as one, k the smallest power of two with
+    k * row >= 512 elements unless a smaller one is the most that divides the
+    row count, or 1 for a non-C-contiguous block. ``column_reduce`` over the
+    view gives numpy's column maxima and minima bit for bit, and column sums
+    within R eps sum|x| of ``math.fsum``, the bound of any summation order."""
+    rng = np.random.default_rng(seed)
+    rows = rows * multiple if rows * multiple * width <= 1 << 16 else rows
+    shape = (rows, width, 2) if pairs else (rows, width)
+    block = _laid_out(rng.standard_normal(shape) * 50.0 - 300.0, layout, rng)
+    wide, k = widen(block)
+    row = block[0].size
+    if block.flags.c_contiguous:
+        assert np.shares_memory(wide, block) and wide.shape == (rows // k, k * row)
+        assert rows % k == 0 and k & (k - 1) == 0
+        assert k * row >= 512 or rows % (2 * k), (k, row, rows)
+        assert k == 1 or k // 2 * row < 512
+    else:
+        assert k == 1 and wide is block
+    for ufunc in (np.maximum, np.minimum):
+        got = column_reduce(ufunc, wide, k).reshape(block.shape[1:])
+        np.testing.assert_array_equal(got, ufunc.reduce(block, axis=0))
+    total, _, total_error, _ = exact_sums(block)
+    got = column_reduce(np.add, wide, k).reshape(block.shape[1:])
+    assert np.all(np.abs(got - total) <= total_error)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -140,9 +193,10 @@ def test_row_blocks_any_row_set_and_block_size(seed, draws, row_shape, layout, b
     n_obs=st.integers(1, 5),
     cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
 )
-def test_merge_sums_any_contiguous_split(seed, draws, n_obs, cuts):
+def test_merge_sums_any_contiguous_split(exact_sums, seed, draws, n_obs, cuts):
     """Folding the parts' sums in order, as hat_values does, gives the
-    sums of the whole, for columns and for row totals alike."""
+    sums of the whole, for columns and for row totals alike; the sums of the
+    whole lie within the error bound of any float64 fold of ``exact_sums``."""
     values = _spread_draws(np.random.default_rng(seed), draws, n_obs)
     edges = sorted({0, draws, *(int(c * draws) for c in cuts)})
     for data in (values, values.sum(axis=1)):
@@ -153,7 +207,9 @@ def test_merge_sums_any_contiguous_split(seed, draws, n_obs, cuts):
         assert merged.count == whole.count == draws
         assert np.all(np.abs(merged.total - whole.total) <= 1e-12 * np.abs(data).sum(axis=0))
         np.testing.assert_allclose(merged.sq_dev, whole.sq_dev, rtol=1e-12)
-        np.testing.assert_array_equal(whole.sq_dev / (draws - 1), data.var(axis=0, ddof=1))
+        total, sq_dev, total_error, sq_dev_error = exact_sums(data)
+        assert np.all(np.abs(whole.total - total) <= total_error)
+        assert np.all(np.abs(whole.sq_dev - sq_dev) <= sq_dev_error)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -210,24 +266,58 @@ def test_no_module_imports_a_private_name():
     assert not found, found
 
 
-def _block_budget_reads(node, scope=None):
-    """(enclosing function, line) of each use of ``BLOCK_BYTES`` under ``node``,
-    by name or as an attribute."""
+def _constant_reads(node, name, scope=None):
+    """(enclosing function, line) of each use of the constant ``name`` under
+    ``node``, by name or as an attribute."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = node.name
-    if (isinstance(node, ast.Name) and node.id == "BLOCK_BYTES" and isinstance(node.ctx, ast.Load)
-            or isinstance(node, ast.Attribute) and node.attr == "BLOCK_BYTES"):
+    if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and node.attr == name):
         yield scope, node.lineno
     for child in ast.iter_child_nodes(node):
-        yield from _block_budget_reads(child, scope)
+        yield from _constant_reads(child, name, scope)
 
 
 def test_only_row_blocks_reads_the_block_budget():
-    """``BLOCK_BYTES`` is read in one place, ``moments.row_blocks``, so every
-    fold cuts its blocks by one rule."""
-    reads = [(path.name, scope, line)
-             for path in sorted(PACKAGE.glob("*.py"))
-             for scope, line in _block_budget_reads(ast.parse(path.read_text(encoding="utf-8")))]
-    assert any(read[:2] == ("moments.py", "row_blocks") for read in reads), reads
-    others = [read for read in reads if read[:2] != ("moments.py", "row_blocks")]
-    assert not others, others
+    """``BLOCK_BYTES`` and ``BLOCK_ROW_STEP`` are each read in one place,
+    ``moments.row_blocks``, so every fold cuts its blocks by one rule."""
+    for name in ("BLOCK_BYTES", "BLOCK_ROW_STEP"):
+        reads = [(path.name, scope, line)
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for scope, line in _constant_reads(ast.parse(path.read_text(encoding="utf-8")),
+                                                    name)]
+        assert any(read[:2] == ("moments.py", "row_blocks") for read in reads), (name, reads)
+        others = [read for read in reads if read[:2] != ("moments.py", "row_blocks")]
+        assert not others, (name, others)
+
+
+# Every function that ``influence_report`` and ``hat_values`` run on the draws.
+UFUNC_ONLY = {
+    "moments.py": ("row_blocks", "widen", "column_reduce", "_centre", "centred_sums",
+                   "merge_sums", "block_moments", "pool", "mcse"),
+    "influence.py": ("influence_report", "_statistics"),
+    "leverage.py": ("hat_values",),
+}
+
+
+def test_influence_and_leverage_folds_call_no_blas():
+    """The folds of ``influence`` and ``leverage`` use ufuncs only: no ``@``,
+    ``matmul``, ``dot``, ``vdot``, ``inner``, ``tensordot`` or ``einsum``, so
+    their bytes cannot depend on the BLAS library or its thread count (a
+    run under 1 and 2 threads cannot show this: OpenBLAS often gives the same
+    bits for both)."""
+    blas = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
+    found = []
+    for file, names in UFUNC_ONLY.items():
+        functions = {node.name: node
+                     for node in ast.walk(ast.parse((PACKAGE / file).read_text(encoding="utf-8")))
+                     if isinstance(node, ast.FunctionDef)}
+        assert set(names) <= set(functions), (file, set(names) - set(functions))
+        for name in names:
+            for node in ast.walk(functions[name]):
+                if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                        and isinstance(node.op, ast.MatMult)
+                        or isinstance(node, ast.Attribute) and node.attr in blas
+                        or isinstance(node, ast.Name) and node.id in blas):
+                    found.append((file, name, node.lineno))
+    assert not found, found
