@@ -21,7 +21,8 @@ from .errors import DiagnosticsError, InvalidParameter
 class Family:
     """Per-draw parameter names, the name of the per-observation constant
     (``None`` when there is none), and ``kl(p1, p2, fixed)``, vectorized
-    over the leading axes."""
+    over the leading axes. ``kl`` returns a fresh array, which the
+    hat-value fold overwrites."""
 
     params: tuple[str, ...]
     kl: Callable

@@ -4,11 +4,13 @@ The hat-value of an observation is the average Kullback-Leibler divergence
 between its replicate predictive distributions under two independent
 posterior draws. Draws are split into two streams (parallel chains, or a
 half-split of a single chain), shuffled with a seeded generator to break
-residual alignment, and paired index-by-index. The KL is in closed form for
-every supported predictive family. Each block of pairs is folded into
-running moments, so the scratch is a few blocks of about 1 MB whatever the
-number of draws; the MCSEs may therefore differ from a one-pass standard
-deviation by round-off.
+residual alignment, and paired index-by-index; the same pairs are folded in
+the storage order of their stream-one draw, so stream one is read in place
+and only stream two is gathered. The KL is in closed form for every
+supported predictive family. Each block of pairs is folded into running
+moments, so the scratch is a few blocks of about 1 MB whatever the number of
+draws; the MCSEs may therefore differ from a one-pass standard deviation by
+round-off.
 """
 
 from __future__ import annotations
@@ -128,8 +130,9 @@ def hat_values(
 
     With two or more chains the first half of the chains forms stream one
     and the rest stream two; a single chain is split in half with a warning.
-    Streams are shuffled independently (seeded), truncated to the shorter
-    length M, and the family KL divergence is averaged over the M pairs.
+    Streams are shuffled independently (seeded) and truncated to the shorter
+    length M, which pairs them index by index; the family KL divergence is
+    averaged over the same pairs, folded in stream-one storage order.
     ``symmetrize`` averages both KL directions. Round-off can make the KL
     of a near-identical pair negative; such pairs are counted, and negative
     hat-values are floored at zero.
@@ -149,21 +152,26 @@ def hat_values(
     rng = np.random.default_rng(seed)
     rng.shuffle(idx1)
     rng.shuffle(idx2)
-    rows1, rows2 = idx1[:n_pairs], idx2[:n_pairs]
+    # The same pairs in the storage order of their stream-one draw, by one
+    # scatter: stream one's blocks are then views, and only stream two is
+    # gathered.
+    partner = np.full(pred.params.shape[0], -1)
+    partner[idx1[:n_pairs]] = idx2[:n_pairs]
+    del idx1, idx2  # only the pairs' rows stay alive through the fold
+    rows1 = np.flatnonzero(partner >= 0)
+    rows2 = partner[rows1]
+    del partner
     # the draws were checked when ``pred`` was built, so no pair is re-checked
     kl = FAMILIES[pred.family].kl
-    # Pairs are gathered, evaluated and folded into running moments a block
-    # at a time, so neither a permuted copy of the params nor an array of all
-    # pair values is made. The KL is elementwise: blocking leaves its bits.
+    # Pairs are evaluated and folded into running moments a block at a time,
+    # so neither a permuted copy of the params nor an array of all pair
+    # values is made. The KL is elementwise, and the fresh array it returns
+    # is the block that ``centred_sums`` overwrites.
     negative = np.zeros(pred.n_obs, dtype=int)
-    scratch = merged = None
+    merged = None
     for params1, params2 in zip(moments.row_blocks(pred.params, rows1),
                                 moments.row_blocks(pred.params, rows2)):
-        count = params1.shape[0]
-        if scratch is None:  # the first block is the largest
-            scratch = np.empty((count, pred.n_obs))
-        values = scratch[:count]
-        values[...] = kl(params1, params2, pred.fixed)
+        values = kl(params1, params2, pred.fixed)
         if symmetrize:
             values += kl(params2, params1, pred.fixed)
             values /= 2.0

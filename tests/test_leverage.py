@@ -310,13 +310,22 @@ class TestHatValues:
         assert np.all(hat.values >= 0.0)
 
 
-def one_shot_pairs(pred, seed, symmetrize):
-    """Pair values from full permuted copies of the params, all pairs at once."""
+def seeded_pairs(pred, seed):
+    """The stream-one and stream-two rows of the pairs of ``seed``, in the
+    order of the streams' permutations."""
     rng = np.random.default_rng(seed)
     idx1, idx2 = _split_streams(pred.draw_chain)
     n_pairs = min(idx1.size, idx2.size)
-    params1 = pred.params[idx1[rng.permutation(idx1.size)][:n_pairs]]
-    params2 = pred.params[idx2[rng.permutation(idx2.size)][:n_pairs]]
+    return idx1[rng.permutation(idx1.size)][:n_pairs], idx2[rng.permutation(idx2.size)][:n_pairs]
+
+
+def one_shot_pairs(pred, seed, symmetrize):
+    """Pair values from full permuted copies of the params, all pairs at once,
+    in the storage order of their stream-one draw."""
+    rows1, rows2 = seeded_pairs(pred, seed)
+    order = np.argsort(rows1)
+    params1 = pred.params[rows1[order]]
+    params2 = pred.params[rows2[order]]
     kl = FAMILIES[pred.family].kl
     pair_values = kl(params1, params2, pred.fixed)
     if symmetrize:
@@ -384,6 +393,46 @@ class TestBlockedPairing:
         block = moments.BLOCK_BYTES // (n_obs * k * 8) // 64 * 64
         pred = random_predictive(family, np.random.default_rng(14), 2 * (block + 1), n_obs)
         self.check_against_one_shot(pred, symmetrize, exact_sums)
+
+    @pytest.mark.filterwarnings("ignore:single chain")
+    @pytest.mark.parametrize(
+        "chains,in_place",
+        [
+            ([0] * 20 + [1] * 20, True),  # equal streams
+            ([0] * 13 + [1] * 14 + [2] * 9, False),  # stream one of 27 draws, 9 pairs
+            ([i % 4 for i in range(40)], False),  # interleaved chains
+            ([0] * 41, True),  # a single chain, split in half
+        ],
+        ids=["equal", "unequal", "interleaved", "single"],
+    )
+    def test_folds_the_seeded_pairs(self, monkeypatch, chains, in_place):
+        """The fold evaluates exactly the pairs that the seeded permutations
+        make, each once, in the storage order of their stream-one draw; where
+        stream one's rows are consecutive, each of its blocks is a view of the
+        params, and only stream two is gathered."""
+        rows = np.arange(len(chains), dtype=float)
+        # every mean is its row number, so a block's parameters name its rows
+        pred = normal_pred(np.repeat(rows[:, None], 2, axis=1), chains=chains)
+        monkeypatch.setattr(moments, "BLOCK_BYTES", 4 * pred.params[0].nbytes)
+        spec = FAMILIES[pred.family]
+        calls = []
+
+        def kl(params1, params2, fixed):
+            calls.append((params1, params2))
+            return spec.kl(params1, params2, fixed)
+
+        monkeypatch.setitem(FAMILIES, pred.family, dataclasses.replace(spec, kl=kl))
+        hat = hat_values(pred, seed=13)
+        folded = np.concatenate([np.stack([p1[:, 0, 0], p2[:, 0, 0]], axis=1) for p1, p2 in calls])
+        expected = np.stack(seeded_pairs(pred, 13), axis=1).astype(float)
+        assert hat.n_pairs == folded.shape[0] == expected.shape[0]
+        # each stream-one row comes at most once, so sorting by it orders a multiset
+        np.testing.assert_array_equal(folded[np.argsort(folded[:, 0])],
+                                      expected[np.argsort(expected[:, 0])])
+        assert np.all(np.diff(folded[:, 0]) > 0.0)
+        if in_place:
+            assert len(calls) == 5
+            assert all(np.shares_memory(params1, pred.params) for params1, _ in calls)
 
     def test_peak_memory_bounded(self):
         """No array of all pair values: at n=40, S=200000 (64 MB of draws)
