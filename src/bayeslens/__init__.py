@@ -15,7 +15,6 @@ from .influence import (
 )
 from .leverage import (
     HatValues,
-    aggregate_hat_values,
     cllev_direction,
     family_kl,
     hat_values,
@@ -40,7 +39,6 @@ from .sample_store import (
     GroupMap,
     LogLikSamples,
     PredictiveDraws,
-    aggregate,
     load_predictive,
     load_samples,
 )
@@ -61,8 +59,6 @@ __all__ = [
     "OutlierDecomposition",
     "Perturbation",
     "PredictiveDraws",
-    "aggregate",
-    "aggregate_hat_values",
     "bernoulli_pw",
     "clinf_direction",
     "cllev_direction",

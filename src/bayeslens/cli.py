@@ -87,11 +87,13 @@ def _write_influence_report(args: argparse.Namespace, report) -> None:
         "%s" + ",%.17g" * len(columns),
         zip(map(csv_text, report.obs_ids), *columns.values()),
     )
-    totals = _fields(
-        report, "p_w", "p_w_mcse", "p_w_star", "p_w_star_mcse", "p_v", "p_v_mcse",
-        "conflict_ratio", "conflict_ratio_mcse", "conflict_threshold", "flagged",
-        "n_draws", "n_chains",
-    )
+    totals = {
+        **_fields(report, "p_w", "p_w_mcse", "p_w_star", "p_w_star_mcse", "p_v",
+                  "p_v_mcse", "conflict_ratio", "conflict_ratio_mcse"),
+        "conflict_threshold": args.threshold,
+        "flagged": report.flagged(args.threshold),
+        **_fields(report, "n_draws", "n_chains"),
+    }
     dump_json(
         _out_path(args, "influence_report.json"),
         {"per_observation": {"obs_ids": report.obs_ids, **columns}, "totals": totals},
@@ -125,19 +127,18 @@ def cmd_influence(args: argparse.Namespace) -> int:
     if args.command == "conflict":
         groups = load_group_map(args.groups)
         result = influence_mod.cross_conflict(samples, groups)
-    report = influence_mod.influence_report(
-        samples, conflict_threshold=args.threshold
-    )
+    report = influence_mod.influence_report(samples)
     _write_influence_report(args, report)
     print("wrote influence_report.csv, influence_report.json")
-    flagged = report.flagged
+    flagged = report.flagged(args.threshold)
     if result is not None:
         _write_group_conflict(args, result)
         print("wrote group_conflict.csv, group_conflict.json")
         flagged = flagged or bool(result.flagged(args.threshold))
     print(
         f"p_w={format_float(report.p_w)} p_v={format_float(report.p_v)} "
-        f"ratio={format_float(report.conflict_ratio)} flagged={report.flagged}"
+        f"ratio={format_float(report.conflict_ratio)} "
+        f"flagged={report.flagged(args.threshold)}"
     )
     if args.strict and flagged:
         return 2

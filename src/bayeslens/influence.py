@@ -119,6 +119,13 @@ def clinf_direction(cov, eps) -> float:
 CONFLICT_THRESHOLD = 3.0  # the p_v / p_w at or above which a report or a group is flagged
 
 
+def _flags(ratio: float, threshold: float) -> bool:
+    """The conflict rule of a report and of a group: a finite ``p_v / p_w``
+    at or above the threshold, a pointer for further investigation and never
+    a hard failure."""
+    return bool(math.isfinite(ratio) and ratio >= threshold)
+
+
 @dataclass(frozen=True)
 class CrossConflict:
     """Per-group conflict ratios; groups with constant log-likelihoods get NaN."""
@@ -130,12 +137,9 @@ class CrossConflict:
     zero_trace: tuple[str, ...]
 
     def flagged(self, threshold: float = CONFLICT_THRESHOLD) -> tuple[str, ...]:
-        hits = [
-            label
-            for label, value in zip(self.group_labels, self.ratio)
-            if math.isfinite(value) and value >= threshold
-        ]
-        return tuple(hits)
+        return tuple(
+            label for label, value in zip(self.group_labels, self.ratio) if _flags(value, threshold)
+        )
 
 
 def cross_conflict(samples: LogLikSamples, groups: GroupMap) -> CrossConflict:
@@ -152,10 +156,7 @@ def cross_conflict(samples: LogLikSamples, groups: GroupMap) -> CrossConflict:
     S * n * G for G such groups, so many small groups cost more than a few
     large ones.
     """
-    members = group_members(samples, groups)
-    column_group = np.empty(samples.n_obs, dtype=int)
-    for g, idx in enumerate(members.values()):
-        column_group[idx] = g
+    labels, column_group = group_members(samples.obs_ids, groups)
     multi = np.flatnonzero(np.bincount(column_group) > 1)
     indicator = (column_group[:, None] == multi).astype(float)
     columns, totals = weighted_sums(samples.values, indicator)
@@ -164,11 +165,11 @@ def cross_conflict(samples: LogLikSamples, groups: GroupMap) -> CrossConflict:
     p_v = 2.0 * p_w
     p_v[multi] = 2.0 * (totals.sq_dev / denominator)
     return CrossConflict(
-        group_labels=tuple(members),
+        group_labels=labels,
         p_v=p_v,
         p_w=p_w,
         ratio=np.divide(p_v, p_w, out=np.full(p_w.shape, math.nan), where=p_w > 0.0),
-        zero_trace=tuple(label for label, pw in zip(members, p_w) if pw <= 0.0),
+        zero_trace=tuple(label for label, pw in zip(labels, p_w) if pw <= 0.0),
     )
 
 
@@ -218,10 +219,11 @@ class InfluenceReport:
     p_w_star_mcse: float
     p_v_mcse: float
     conflict_ratio_mcse: float
-    conflict_threshold: float
-    flagged: bool
     n_draws: int
     n_chains: int
+
+    def flagged(self, threshold: float = CONFLICT_THRESHOLD) -> bool:
+        return _flags(self.conflict_ratio, threshold)
 
 
 def _statistics(moments: Moments, row_totals: np.ndarray) -> dict:
@@ -242,9 +244,7 @@ def _statistics(moments: Moments, row_totals: np.ndarray) -> dict:
     }
 
 
-def influence_report(
-    samples: LogLikSamples, *, conflict_threshold: float = CONFLICT_THRESHOLD
-) -> InfluenceReport:
+def influence_report(samples: LogLikSamples) -> InfluenceReport:
     """Compute every influence diagnostic with replicate-based standard errors.
 
     The column moments of each replicate (a chain, or half of a single chain)
@@ -253,8 +253,7 @@ def influence_report(
     the pooled moments gives the point estimates, and of each replicate's
     moments a replicate; each ``*_mcse`` is the standard error of that
     statistic's replicates (NaN for ``clinf`` and the ratio when a replicate's
-    ``p_w`` is zero). The conflict flag marks ``p_v / p_w`` at or above the
-    threshold; it is a pointer for further investigation, never a hard failure.
+    ``p_w`` is zero).
     """
     values = samples.values
     # before any fold: its sort is the call's largest transient
@@ -285,8 +284,6 @@ def influence_report(
         obs_ids=samples.obs_ids,
         **estimates,
         **{f"{key}_mcse": value for key, value in errors.items()},
-        conflict_threshold=conflict_threshold,
-        flagged=estimates["conflict_ratio"] >= conflict_threshold,
         n_draws=samples.n_draws,
         n_chains=n_chains,
     )

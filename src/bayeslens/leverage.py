@@ -31,13 +31,7 @@ from .errors import (
     ZeroLeverage,
 )
 from .families import FAMILIES, check_params, lookup
-from .sample_store import (
-    GroupMap,
-    PredictiveDraws,
-    chain_order,
-    group_members,
-    replicate_groups,
-)
+from .sample_store import PredictiveDraws, chain_order, replicate_groups
 from .influence import Perturbation
 
 
@@ -220,31 +214,3 @@ def cllev_direction(hat, eps) -> float:
     vec = Perturbation.vector(eps, values.shape[0])
     return float(np.sum(values * vec**2)) / (total * float(np.sum(vec**2)))
 
-
-def aggregate_hat_values(hat: HatValues, groups: GroupMap) -> HatValues:
-    """Group leverage: exact sums of member hat-values.
-
-    MCSEs combine in quadrature, which ignores cross-observation correlation
-    of the pair estimates; treat aggregated errors as approximate.
-    """
-    members = group_members(hat, groups)
-    labels = tuple(members)
-    values = np.array([hat.values[idx].sum() for idx in members.values()])
-    mcse = np.array(
-        [math.sqrt(float(np.sum(hat.mcse[idx] ** 2))) for idx in members.values()]
-    )
-    negative = np.array(
-        [int(hat.negative_pairs[idx].sum()) for idx in members.values()]
-    )
-    total = float(np.sum(values))
-    cllev = values / total if total > 0.0 else np.full(values.shape, np.nan)
-    return HatValues(
-        obs_ids=labels,
-        values=values,
-        mcse=mcse,
-        p_d_star=total,
-        p_d_star_mcse=hat.p_d_star_mcse,
-        cllev=cllev,
-        n_pairs=hat.n_pairs,
-        negative_pairs=negative,
-    )

@@ -290,42 +290,23 @@ class GroupMap:
         return cls({str(i): label for i in obs_ids})
 
 
-def group_members(data, groups: GroupMap) -> dict[str, list[int]]:
-    """Column indices per group, groups ordered by first appearance in the data.
+def group_members(obs_ids, groups: GroupMap) -> tuple[tuple[str, ...], np.ndarray]:
+    """The group labels, in order of first appearance among ``obs_ids``, and
+    each column's index into them.
 
-    ``data`` is anything with an ``obs_ids`` sequence (samples, hat-values).
-    Raises UnknownObsId for map entries that are not in the data and
+    Raises UnknownObsId for map entries that are not in ``obs_ids`` and
     UncoveredObsId for columns the map misses.
     """
-    known = set(data.obs_ids)
+    known = set(obs_ids)
     unknown = sorted(set(groups.assignment) - known)
     if unknown:
         raise UnknownObsId(f"group map references unknown observations: {unknown}")
     uncovered = sorted(known - set(groups.assignment))
     if uncovered:
         raise UncoveredObsId(f"group map does not cover observations: {uncovered}")
-    members: dict[str, list[int]] = {}
-    for col, obs in enumerate(data.obs_ids):
-        members.setdefault(groups.assignment[obs], []).append(col)
-    return members
-
-
-def aggregate(samples: LogLikSamples, groups: GroupMap) -> LogLikSamples:
-    """Sum log-likelihood columns within each group.
-
-    Group labels become the new observation ids; chain labels are preserved.
-    """
-    members = group_members(samples, groups)
-    columns = [
-        samples.values[:, idx].sum(axis=1) for idx in members.values()
-    ]
-    values = np.column_stack(columns)
-    values.setflags(write=False)
-    return LogLikSamples(
-        values=values,
-        draw_chain=samples.draw_chain,
-        obs_ids=tuple(members),
-    )
+    index: dict[str, int] = {}
+    column_group = [index.setdefault(groups.assignment[obs], len(index)) for obs in obs_ids]
+    return tuple(index), np.array(column_group, dtype=int)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,30 @@ class TestInfluenceCommand:
         assert json.loads(lines[0])["error"] == error
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["influence", "conflict"])
+    def test_threshold_sets_every_flag(self, tmp_path, capsys, command):
+        """``--threshold`` decides the report's flag, in its JSON and on
+        stdout, and the groups' flags alike: the toy ratio 18 / 5 = 3.6 is
+        flagged at 3.6 and not one float above it."""
+        loglik, meta = write_toy(tmp_path)
+        groups = tmp_path / "groups.json"
+        groups.write_text('{"a": "g", "b": "g"}')
+        inputs = ["--groups", str(groups)] if command == "conflict" else []
+        for threshold, flagged in ((3.6, True), (float(np.nextafter(3.6, np.inf)), False)):
+            out = tmp_path / repr(threshold)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main([command, "--loglik", str(loglik), "--meta", str(meta), *inputs,
+                             "--threshold", repr(threshold), "--out", str(out)])
+            assert code == 0
+            assert f"flagged={flagged}" in capsys.readouterr().out
+            totals = read_json(out / "influence_report.json")["totals"]
+            assert totals["conflict_threshold"] == threshold
+            assert totals["flagged"] is flagged
+            if command == "conflict":
+                group_flags = read_json(out / "group_conflict.json")["flagged_groups"]
+                assert group_flags == (["g"] if flagged else [])
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["influence", "conflict"])
     def test_non_finite_threshold_fails_closed(self, tmp_path, capsys, command, threshold):
@@ -312,7 +336,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["influence", "conflict"])
     def test_threshold_default_is_the_library_default(self, command):
         """``--threshold`` defaults to ``influence.CONFLICT_THRESHOLD``, the
-        flag level of ``influence_report`` and ``CrossConflict.flagged``."""
+        flag level of ``InfluenceReport.flagged`` and ``CrossConflict.flagged``."""
         argv = [command, "--loglik", "x.csv", "--meta", "m.json"]
         if command == "conflict":
             argv += ["--groups", "g.json"]
@@ -1268,5 +1292,94 @@ class TestFuzzMain:
                 assert not out.exists()
             if code == 2:
                 assert "--strict" in argv
+
+        check()
+
+
+FUZZ_IDS = tuple(f"o{i}" for i in range(6))
+FUZZ_CHAINS = [0] * 20 + [1] * 20
+FUZZ_CSV = "\n".join(
+    [",".join(FUZZ_IDS)]
+    + [",".join(f"{v:.17g}" for v in row)
+       for row in np.random.default_rng(29).standard_normal((40, 6)) - 3.0]
+) + "\n"
+GROUP_FAULTS = ("none", "unknown_id", "missing_id", "null", "true", "list", "not_object",
+                "bad_utf8")
+
+
+@st.composite
+def conflict_inputs(draw):
+    """``(group map bytes, loglik CSV bytes, group fault)`` for ``conflict``.
+
+    The map of ``FUZZ_IDS`` into three groups gets at most one fault: an
+    unknown or a missing id, a label that is null, true or a list, JSON that
+    is not an object, or a byte that is not UTF-8. The CSV is kept, truncated
+    at any byte, or has two columns swapped in every row from some row on."""
+    fault = draw(st.sampled_from(GROUP_FAULTS))
+    mapping = {obs: f"g{i % 3}" for i, obs in enumerate(FUZZ_IDS)}
+    victim = draw(st.sampled_from(FUZZ_IDS))
+    if fault == "unknown_id":
+        mapping["zz"] = "g0"
+    elif fault == "missing_id":
+        del mapping[victim]
+    elif fault in ("null", "true", "list"):
+        mapping[victim] = {"null": None, "true": True, "list": ["g0"]}[fault]
+    if fault == "not_object":
+        mapping = draw(st.sampled_from([list(mapping), 3, "g0", None]))
+    groups = json.dumps(mapping).encode()
+    if fault == "bad_utf8":
+        cut = draw(st.integers(0, len(groups)))
+        groups = groups[:cut] + b"\xff" + groups[cut:]
+    loglik = FUZZ_CSV.encode()
+    how = draw(st.sampled_from(["keep", "truncate", "swap"]))
+    if how == "truncate":
+        loglik = loglik[:draw(st.integers(0, len(loglik) - 1))]
+    elif how == "swap":
+        i, j = draw(st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True))
+        start = draw(st.integers(1, 40))
+        lines = FUZZ_CSV.splitlines()
+        for row in range(start, len(lines)):
+            cells = lines[row].split(",")
+            cells[i], cells[j] = cells[j], cells[i]
+            lines[row] = ",".join(cells)
+        loglik = ("\n".join(lines) + "\n").encode()
+    return groups, loglik, fault
+
+
+class TestFuzzConflict:
+    """``conflict`` on corrupted group maps and log-likelihood CSVs (Hypothesis)."""
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_corrupted_inputs_fail_closed(self, tmp_path):
+        loglik, meta, groups, out = (
+            tmp_path / name for name in ("loglik.csv", "meta.json", "groups.json", "out")
+        )
+        meta.write_text(json.dumps({"chains": FUZZ_CHAINS}))
+
+        @settings(max_examples=150, derandomize=True, deadline=None)
+        @given(conflict_inputs(), st.booleans())
+        def check(inputs, strict):
+            group_bytes, loglik_bytes, fault = inputs
+            groups.write_bytes(group_bytes)
+            loglik.write_bytes(loglik_bytes)
+            shutil.rmtree(out, ignore_errors=True)
+            out.mkdir()
+            (out / "kept.txt").write_text("kept")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["conflict", "--loglik", str(loglik), "--meta", str(meta),
+                             "--groups", str(groups), "--out", str(out)]
+                            + ["--strict"] * strict)
+            assert code in (0, 1, 2)
+            if code == 1:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1, lines
+                assert set(json.loads(lines[0])) == {"error", "message"}
+                assert [path.name for path in out.iterdir()] == ["kept.txt"]
+                assert (out / "kept.txt").read_text() == "kept"
+            if fault != "none":
+                assert code == 1, fault
+            if code == 2:
+                assert strict
 
         check()

@@ -1,5 +1,6 @@
 """Influence diagnostics: covariance, penalties, conformal statistics."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -9,10 +10,10 @@ import pytest
 
 from bayeslens import (
     CovMatrix,
+    CrossConflict,
     GroupMap,
     LogLikSamples,
     Perturbation,
-    aggregate,
     bernoulli_pw,
     clinf_direction,
     cross_conflict,
@@ -225,7 +226,18 @@ class TestConflictRatio:
         with pytest.warns(UserWarning, match="too few draws"):
             report = influence_report(samples)
         assert report.conflict_ratio == pytest.approx(3.6)
-        assert report.flagged
+        assert report.flagged() is True
+        # the rule is "at or above": the ratio itself flags, the next float up does not
+        ratio = report.conflict_ratio
+        assert report.flagged(ratio) is True
+        assert report.flagged(np.nextafter(ratio, math.inf)) is False
+        # a NaN ratio flags at no threshold, in a report as in a group
+        unknown = dataclasses.replace(report, conflict_ratio=math.nan)
+        flat = CrossConflict(group_labels=("g",), p_v=np.zeros(1), p_w=np.zeros(1),
+                             ratio=np.full(1, math.nan), zero_trace=("g",))
+        for threshold in (-math.inf, 0.0, ratio):
+            assert unknown.flagged(threshold) is False
+            assert flat.flagged(threshold) == ()
 
     def test_independent_columns_give_two(self):
         """With independent contributions the calibration factor makes the ratio 2."""
@@ -384,12 +396,6 @@ class TestInfluenceReport:
         assert permuted.p_w == pytest.approx(base.p_w, rel=1e-12)
         assert permuted.p_w_star == pytest.approx(base.p_w_star, rel=1e-12)
         assert permuted.p_v == pytest.approx(base.p_v, rel=1e-12)
-
-    def test_aggregation_preserves_pv_exactly(self):
-        rng = np.random.default_rng(21)
-        samples = make(rng.standard_normal((80, 4)), chains=[0] * 40 + [1] * 40)
-        merged = aggregate(samples, GroupMap.single_group(samples.obs_ids))
-        assert influence_report(merged).p_v == influence_report(samples).p_v
 
     def test_all_constant_raises_zero_trace(self):
         with pytest.raises(ZeroTrace):

@@ -9,10 +9,8 @@ import pytest
 from scipy import integrate, stats
 
 from bayeslens import (
-    GroupMap,
     PredictiveDraws,
     Perturbation,
-    aggregate_hat_values,
     cllev_direction,
     family_kl,
     hat_values,
@@ -524,17 +522,3 @@ class TestCllevDirection:
     def test_zero_perturbation(self):
         with pytest.raises(ZeroPerturbation):
             cllev_direction([1.0, 2.0], [0.0, 0.0])
-
-
-class TestAggregateHatValues:
-    def test_group_sums_are_exact(self):
-        rng = np.random.default_rng(34)
-        pred = normal_pred(rng.standard_normal((200, 4)), ids=("a", "b", "c", "d"))
-        hat = hat_values(pred, seed=12)
-        groups = GroupMap({"a": "g1", "b": "g1", "c": "g2", "d": "g2"})
-        merged = aggregate_hat_values(hat, groups)
-        assert merged.obs_ids == ("g1", "g2")
-        assert merged.values[0] == hat.values[0] + hat.values[1]
-        assert merged.values[1] == hat.values[2] + hat.values[3]
-        assert merged.p_d_star == pytest.approx(hat.p_d_star, rel=1e-12)
-

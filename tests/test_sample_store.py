@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bayeslens import GroupMap, LogLikSamples, PredictiveDraws, aggregate
+from bayeslens import GroupMap, LogLikSamples, PredictiveDraws, cross_conflict
 from bayeslens.errors import (
     ChainMismatch,
     DegenerateSample,
@@ -532,64 +532,6 @@ class TestSidecar:
         assert sidecars(tmp_path) == []
 
 
-class TestAggregate:
-    def make(self, values, obs_ids, chains=None):
-        chains = chains if chains is not None else [0] * len(values)
-        return LogLikSamples(values=values, draw_chain=chains, obs_ids=obs_ids)
-
-    def test_two_into_one(self):
-        """Columns in one group are summed row-wise."""
-        samples = self.make([[1, 2], [3, 4]], ("a", "b"))
-        out = aggregate(samples, GroupMap({"a": "g", "b": "g"}))
-        np.testing.assert_array_equal(out.values, [[3], [7]])
-        assert out.obs_ids == ("g",)
-
-    def test_identity_map(self):
-        """Each observation in its own group leaves values unchanged."""
-        samples = self.make([[1.5, -2], [3, 4.25]], ("a", "b"))
-        out = aggregate(samples, GroupMap.identity(samples.obs_ids))
-        np.testing.assert_array_equal(out.values, samples.values)
-
-    def test_hand_example(self):
-        samples = self.make([[1, 2, 3], [4, 5, 6]], ("a", "b", "c"))
-        out = aggregate(samples, GroupMap({"a": "g1", "b": "g1", "c": "g2"}))
-        np.testing.assert_array_equal(out.values, [[3, 3], [9, 6]])
-        assert out.obs_ids == ("g1", "g2")
-
-    def test_all_in_one_equals_row_sums_exactly(self):
-        rng = np.random.default_rng(3)
-        samples = self.make(
-            rng.standard_normal((50, 7)), tuple("abcdefg"), [0] * 25 + [1] * 25
-        )
-        out = aggregate(samples, GroupMap.single_group(samples.obs_ids))
-        np.testing.assert_array_equal(
-            out.values[:, 0], samples.values.sum(axis=1)
-        )
-        np.testing.assert_array_equal(out.draw_chain, samples.draw_chain)
-
-    def test_permutation_invariant_within_group(self):
-        rng = np.random.default_rng(4)
-        values = rng.standard_normal((10, 4))
-        ids = ("a", "b", "c", "d")
-        groups = GroupMap({"a": "g", "b": "g", "c": "g", "d": "g"})
-        base = aggregate(self.make(values, ids), groups)
-        perm = [2, 0, 3, 1]
-        shuffled = aggregate(
-            self.make(values[:, perm], tuple(ids[i] for i in perm)), groups
-        )
-        np.testing.assert_allclose(shuffled.values, base.values, rtol=1e-15)
-
-    def test_unknown_obs(self):
-        samples = self.make([[1, 2], [3, 4]], ("a", "b"))
-        with pytest.raises(UnknownObsId):
-            aggregate(samples, GroupMap({"a": "g", "b": "g", "z": "g"}))
-
-    def test_uncovered_obs(self):
-        samples = self.make([[1, 2], [3, 4]], ("a", "b"))
-        with pytest.raises(UncoveredObsId):
-            aggregate(samples, GroupMap({"a": "g"}))
-
-
 class TestContainerErrors:
     def test_obs_id_count_mismatch(self):
         with pytest.raises(MalformedCsv, match="got 3 obs ids for 2 columns"):
@@ -653,6 +595,12 @@ CHECKED_INPUTS = {
             family="poisson", params=np.ones((2, 2, 1)), draw_chain=[0, 1], obs_ids="ba")),
         UnknownObsId, "do not match"),
     "empty_group_map": (lambda tmp: GroupMap({}), UncoveredObsId, "group map is empty"),
+    "unknown_group_member": (
+        lambda tmp: cross_conflict(two_draws(), GroupMap({"a": "g", "b": "g", "z": "g"})),
+        UnknownObsId, "group map references unknown observations: ['z']"),
+    "uncovered_observation": (
+        lambda tmp: cross_conflict(two_draws(), GroupMap({"a": "g"})),
+        UncoveredObsId, "group map does not cover observations: ['b']"),
     "empty_column_name": (
         lambda tmp: load_samples(write_file(tmp, "loglik.csv", "a,,b\n0,1,2\n3,4,5\n"),
                                  write_file(tmp, "meta.json", '{"chains": [0, 1]}')),
