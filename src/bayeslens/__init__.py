@@ -6,7 +6,6 @@ from .influence import (
     CovMatrix,
     CrossConflict,
     InfluenceReport,
-    Perturbation,
     bernoulli_pw,
     clinf_direction,
     cross_conflict,
@@ -57,7 +56,6 @@ __all__ = [
     "LinearModelSpec",
     "LogLikSamples",
     "OutlierDecomposition",
-    "Perturbation",
     "PredictiveDraws",
     "bernoulli_pw",
     "clinf_direction",

@@ -54,44 +54,16 @@ class CovMatrix:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "obs_ids", tuple(str(i) for i in self.obs_ids))
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
 
-
-@dataclass(frozen=True)
-class Perturbation:
-    """A direction in case-weight space; must not be identically zero."""
-
-    eps: np.ndarray
-
-    def __post_init__(self):
-        eps = np.array(self.eps, dtype=float).ravel()
-        if eps.size == 0 or not np.any(eps != 0.0):
-            raise ZeroPerturbation("perturbation direction is identically zero")
-        eps.setflags(write=False)
-        object.__setattr__(self, "eps", eps)
-
-    @classmethod
-    def basis(cls, index: int, size: int) -> "Perturbation":
-        """Standard basis vector: perturb a single observation."""
-        eps = np.zeros(size)
-        eps[index] = 1.0
-        return cls(eps)
-
-    @classmethod
-    def ones(cls, size: int) -> "Perturbation":
-        """Common perturbation of every observation at once."""
-        return cls(np.ones(size))
-
-    @classmethod
-    def vector(cls, eps, size: int) -> np.ndarray:
-        """``eps`` (a Perturbation or a sequence) as a direction of ``size``
-        entries: its length is checked first, then that it is not zero."""
-        vec = eps.eps if isinstance(eps, cls) else np.asarray(eps, dtype=float).ravel()
-        if vec.shape != (size,):
-            raise InvalidParameter(f"perturbation has length {vec.shape[0]}, expected {size}")
-        return cls(vec).eps
+def direction(eps, size: int) -> np.ndarray:
+    """``eps`` as a direction in case-weight space of ``size`` entries: its
+    length is checked first, then that it is not identically zero."""
+    vec = np.asarray(eps, dtype=float).ravel()
+    if vec.shape != (size,):
+        raise InvalidParameter(f"perturbation has length {vec.shape[0]}, expected {size}")
+    if not np.any(vec != 0.0):
+        raise ZeroPerturbation("perturbation direction is identically zero")
+    return vec
 
 
 def loglik_covariance(samples: LogLikSamples) -> CovMatrix:
@@ -112,7 +84,7 @@ def clinf_direction(cov, eps) -> float:
     trace = float(np.trace(matrix))
     if trace <= 0.0:
         raise ZeroTrace("trace of the covariance is zero: all log-likelihoods constant")
-    vec = Perturbation.vector(eps, matrix.shape[0])
+    vec = direction(eps, matrix.shape[0])
     return float(vec @ matrix @ vec) / (trace * float(vec @ vec))
 
 

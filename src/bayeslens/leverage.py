@@ -32,7 +32,7 @@ from .errors import (
 )
 from .families import FAMILIES, check_params, lookup
 from .sample_store import PredictiveDraws, chain_order, replicate_groups
-from .influence import Perturbation
+from .influence import direction
 
 
 def family_kl(family: str, params1, params2):
@@ -211,6 +211,6 @@ def cllev_direction(hat, eps) -> float:
     total = float(np.sum(values))
     if total <= 0.0:
         raise ZeroLeverage("total leverage is zero")
-    vec = Perturbation.vector(eps, values.shape[0])
+    vec = direction(eps, values.shape[0])
     return float(np.sum(values * vec**2)) / (total * float(np.sum(vec**2)))
 

@@ -25,7 +25,7 @@ from .errors import (
     ZeroHatValue,
     ZeroTrace,
 )
-from .influence import CovMatrix, Perturbation
+from .influence import CovMatrix, direction
 from .leverage import HatValues
 
 # Eigenvalues of the outlier matrix at or below this share of the largest
@@ -43,10 +43,6 @@ class OutlierDecomposition:
     rank_tolerance: float
     clout: np.ndarray
     obs_ids: tuple[str, ...]
-
-    @property
-    def n_obs(self) -> int:
-        return self.omega.shape[0]
 
 
 def outlier_matrix(cov, hat) -> OutlierDecomposition:
@@ -111,7 +107,7 @@ def outlier_matrix(cov, hat) -> OutlierDecomposition:
 
 def clout_direction(decomposition: OutlierDecomposition, eps) -> float:
     """Rayleigh quotient of the outlier matrix along a direction."""
-    vec = Perturbation.vector(eps, decomposition.n_obs)
+    vec = direction(eps, decomposition.omega.shape[0])
     return float(vec @ decomposition.omega @ vec) / float(vec @ vec)
 
 

@@ -86,20 +86,23 @@ def _chain_array(draw_chain, n_draws: int) -> np.ndarray:
 
 
 def _frozen_float_array(values) -> np.ndarray:
-    """``values`` as a read-only float64 array, shared when nothing can write to it.
+    """``values`` as a read-only, C-contiguous float64 array, shared when
+    nothing can write to it.
 
-    A read-only float64 ndarray whose bases are read-only arrays too is kept
-    without a copy; any other input is copied, so the caller's array can
-    change afterwards without changing the container.
+    A read-only, C-contiguous float64 ndarray whose bases are read-only
+    arrays too is kept without a copy; any other input is copied in C order,
+    so the caller's array can change afterwards without changing the
+    container, and the folds see one memory layout (``moments.widen`` views
+    only C-contiguous blocks, and other layouts would give other bits).
     """
-    if type(values) is np.ndarray and values.dtype == np.float64:
+    if type(values) is np.ndarray and values.dtype == np.float64 and values.flags.c_contiguous:
         base = values
         while isinstance(base, np.ndarray) and not base.flags.writeable:
             base = base.base
         # a writable array, or a foreign buffer (bytes, mmap), ends the walk
         if base is None:
             return values
-    values = np.array(values, dtype=float)
+    values = np.array(values, dtype=float, order="C")
     values.setflags(write=False)
     return values
 
@@ -157,11 +160,6 @@ class LogLikSamples:
     @property
     def n_obs(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def chain_labels(self) -> list[int]:
-        """Chain labels in order of first appearance."""
-        return chain_order(self.draw_chain).tolist()
 
 
 def chain_order(draw_chain: np.ndarray) -> np.ndarray:
@@ -280,14 +278,6 @@ class GroupMap:
         object.__setattr__(
             self, "assignment", {str(k): str(v) for k, v in self.assignment.items()}
         )
-
-    @classmethod
-    def identity(cls, obs_ids) -> "GroupMap":
-        return cls({str(i): str(i) for i in obs_ids})
-
-    @classmethod
-    def single_group(cls, obs_ids, label: str = "all") -> "GroupMap":
-        return cls({str(i): label for i in obs_ids})
 
 
 def group_members(obs_ids, groups: GroupMap) -> tuple[tuple[str, ...], np.ndarray]:

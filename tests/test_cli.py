@@ -1307,14 +1307,39 @@ GROUP_FAULTS = ("none", "unknown_id", "missing_id", "null", "true", "list", "not
                 "bad_utf8")
 
 
+def corrupt_csv(draw, text):
+    """``text`` as bytes: kept, truncated at any byte, or with two columns
+    swapped in every row from some row on."""
+    data = text.encode()
+    how = draw(st.sampled_from(["keep", "truncate", "swap"]))
+    if how == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if how == "swap":
+        lines = text.splitlines()
+        width = len(lines[0].split(","))
+        i, j = draw(st.lists(st.integers(0, width - 1), min_size=2, max_size=2, unique=True))
+        for row in range(draw(st.integers(1, len(lines) - 1)), len(lines)):
+            cells = lines[row].split(",")
+            cells[i], cells[j] = cells[j], cells[i]
+            lines[row] = ",".join(cells)
+        return ("\n".join(lines) + "\n").encode()
+    return data
+
+
+def insert_bad_byte(draw, data):
+    """``data`` with a byte that is not UTF-8 inserted at any position."""
+    cut = draw(st.integers(0, len(data)))
+    return data[:cut] + b"\xff" + data[cut:]
+
+
 @st.composite
 def conflict_inputs(draw):
     """``(group map bytes, loglik CSV bytes, group fault)`` for ``conflict``.
 
     The map of ``FUZZ_IDS`` into three groups gets at most one fault: an
     unknown or a missing id, a label that is null, true or a list, JSON that
-    is not an object, or a byte that is not UTF-8. The CSV is kept, truncated
-    at any byte, or has two columns swapped in every row from some row on."""
+    is not an object, or a byte that is not UTF-8. The CSV goes through
+    ``corrupt_csv``."""
     fault = draw(st.sampled_from(GROUP_FAULTS))
     mapping = {obs: f"g{i % 3}" for i, obs in enumerate(FUZZ_IDS)}
     victim = draw(st.sampled_from(FUZZ_IDS))
@@ -1328,22 +1353,8 @@ def conflict_inputs(draw):
         mapping = draw(st.sampled_from([list(mapping), 3, "g0", None]))
     groups = json.dumps(mapping).encode()
     if fault == "bad_utf8":
-        cut = draw(st.integers(0, len(groups)))
-        groups = groups[:cut] + b"\xff" + groups[cut:]
-    loglik = FUZZ_CSV.encode()
-    how = draw(st.sampled_from(["keep", "truncate", "swap"]))
-    if how == "truncate":
-        loglik = loglik[:draw(st.integers(0, len(loglik) - 1))]
-    elif how == "swap":
-        i, j = draw(st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True))
-        start = draw(st.integers(1, 40))
-        lines = FUZZ_CSV.splitlines()
-        for row in range(start, len(lines)):
-            cells = lines[row].split(",")
-            cells[i], cells[j] = cells[j], cells[i]
-            lines[row] = ",".join(cells)
-        loglik = ("\n".join(lines) + "\n").encode()
-    return groups, loglik, fault
+        groups = insert_bad_byte(draw, groups)
+    return groups, corrupt_csv(draw, FUZZ_CSV), fault
 
 
 class TestFuzzConflict:
@@ -1381,5 +1392,87 @@ class TestFuzzConflict:
                 assert code == 1, fault
             if code == 2:
                 assert strict
+
+        check()
+
+
+FUZZ_PRED = "\n".join(
+    [",".join(f"{obs}.mean" for obs in FUZZ_IDS)]
+    + [",".join(f"{v:.17g}" for v in row)
+       for row in np.random.default_rng(30).standard_normal((40, 6))]
+) + "\n"
+# a known variance that is missing for one id, or is not a positive number
+VAR_FAULTS = {"missing_id": None, "null": None, "true": True, "string": "1.5", "list": [1.0],
+              "zero": 0, "negative": -1.0}
+# the files each command reads
+READS = {"influence": ("loglik", "meta"), "leverage": ("pred", "meta"),
+         "outliers": ("loglik", "pred", "meta")}
+
+
+@st.composite
+def draw_command_inputs(draw):
+    """``({"loglik", "pred", "meta": bytes}, fault, faulty file)`` for
+    ``influence``, ``leverage`` and ``outliers`` on a ``normal_known_var``
+    corpus.
+
+    Both CSVs go through ``corrupt_csv``. At most one fault more: the
+    metadata ``var`` object misses an id or holds null, true, a string, a
+    list, 0 or a negative number (faulty file "meta"), or one file gets a
+    byte that is not UTF-8."""
+    fault = draw(st.sampled_from(["none"] * 4 + [*VAR_FAULTS, "bad_utf8"]))
+    var = {obs: 0.5 + i for i, obs in enumerate(FUZZ_IDS)}
+    victim = draw(st.sampled_from(FUZZ_IDS))
+    if fault == "missing_id":
+        del var[victim]
+    elif fault in VAR_FAULTS:
+        var[victim] = VAR_FAULTS[fault]
+    meta = {"chains": FUZZ_CHAINS, "families": "normal_known_var", "var": var}
+    files = {"loglik": corrupt_csv(draw, FUZZ_CSV), "pred": corrupt_csv(draw, FUZZ_PRED),
+             "meta": json.dumps(meta).encode()}
+    faulty = "meta" if fault in VAR_FAULTS else None
+    if fault == "bad_utf8":
+        faulty = draw(st.sampled_from(sorted(files)))
+        files[faulty] = insert_bad_byte(draw, files[faulty])
+    return files, fault, faulty
+
+
+class TestFuzzDrawCommands:
+    """``influence``, ``leverage`` and ``outliers`` on corrupted draws CSVs and
+    known-variance metadata (Hypothesis)."""
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_corrupted_inputs_fail_closed(self, tmp_path):
+        paths = {name: tmp_path / f"{name}.{ext}"
+                 for name, ext in (("loglik", "csv"), ("pred", "csv"), ("meta", "json"))}
+        out = tmp_path / "out"
+
+        @settings(max_examples=100, derandomize=True, deadline=None)
+        @given(draw_command_inputs(), st.booleans())
+        def check(inputs, strict):
+            files, fault, faulty = inputs
+            for name, data in files.items():
+                paths[name].write_bytes(data)
+            for command, reads in READS.items():
+                shutil.rmtree(out, ignore_errors=True)
+                out.mkdir()
+                (out / "kept.txt").write_text("kept")
+                argv = [command, "--meta", str(paths["meta"]), "--out", str(out)]
+                argv += ["--loglik", str(paths["loglik"])] * ("loglik" in reads)
+                argv += ["--pred", str(paths["pred"])] * ("pred" in reads)
+                strict_here = strict and command == "influence"
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv + ["--strict"] * strict_here)
+                assert code in (0, 1, 2), command
+                if code == 1:
+                    lines = err.getvalue().splitlines()
+                    assert len(lines) == 1, (command, lines)
+                    assert set(json.loads(lines[0])) == {"error", "message"}
+                    assert [path.name for path in out.iterdir()] == ["kept.txt"]
+                    assert (out / "kept.txt").read_text() == "kept"
+                if faulty in reads and (fault == "bad_utf8" or "pred" in reads):
+                    assert code == 1, (command, fault, faulty)
+                if code == 2:
+                    assert strict_here
 
         check()

@@ -6,7 +6,6 @@ import pytest
 from bayeslens import (
     CovMatrix,
     HatValues,
-    Perturbation,
     clout_direction,
     exact_sampler,
     hat_values,
@@ -199,7 +198,7 @@ class TestCloutDirection:
 
     def test_basis_gives_diagonal(self):
         for i in range(2):
-            value = clout_direction(self.dec, Perturbation.basis(i, 2))
+            value = clout_direction(self.dec, np.eye(2)[i])
             assert value == pytest.approx(self.dec.clout[i], rel=1e-12)
 
     def test_ones_direction(self):

@@ -29,6 +29,7 @@ from bayeslens.io_utils import dump_json, format_float, write_csv_rows
 from bayeslens.sample_store import (
     _read_csv_table,
     _read_csv_table_checked,
+    chain_order,
     check_aligned,
     load_group_map,
     load_predictive,
@@ -666,6 +667,19 @@ class TestOwnership:
         base[...] = 7.0
         assert not np.any(kept == 7.0)
 
+    @pytest.mark.parametrize("layout", ["fortran", "column_slice"])
+    def test_read_only_strided_input_is_copied_in_c_order(self, kind, layout):
+        """Only a C-contiguous array is shared: the folds' bits depend on the layout."""
+        array = self.fresh(kind)
+        # a read-only Fortran-ordered array, or half of a read-only one twice as wide
+        base = np.asfortranarray(array) if layout == "fortran" else np.concatenate([array] * 2, 1)
+        base.setflags(write=False)
+        array = base[:, :2]
+        kept = contain(kind, array)
+        assert kept.flags.c_contiguous and not kept.flags.writeable
+        assert not np.shares_memory(kept, array)
+        np.testing.assert_array_equal(kept, array)
+
     def test_read_only_float32_is_converted(self, kind):
         array = self.fresh(kind).astype(np.float32)
         array.setflags(write=False)
@@ -915,5 +929,6 @@ class TestReplicateGroups:
         groups = replicate_groups(np.array(chains))
         assert [g.tolist() for g in groups] == [[0, 1, 5], [2, 4], [3]]
         samples = LogLikSamples(values=np.zeros((6, 1)), draw_chain=chains, obs_ids=("a",))
-        assert samples.chain_labels == [3, 1, 9]
-        assert all(type(label) is int for label in samples.chain_labels)
+        labels = chain_order(samples.draw_chain).tolist()
+        assert labels == [3, 1, 9]
+        assert all(type(label) is int for label in labels)
